@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from . import unifactor
 from .errors import CertificationError, LuError, UnsupportedInstance
-from .ideals import Ideal
+from .ideals import Ideal, Memo
 from .lattice import saturation_defect
 from .orders import degrevlex
 from .poly import mono_divides, mono_gcd
@@ -35,8 +35,8 @@ class Primality:
         return self.verdict == PRIME
 
 
-_PRIME_MEMO = {}
-_RADICAL_MEMO = {}
+_PRIME_MEMO = Memo()
+_RADICAL_MEMO = Memo()
 
 
 def _is_variable_exps(e):
@@ -199,8 +199,6 @@ def _principal_univariate(I, gb):
     if data is None:
         return None
     idx, coeffs = data
-    if coeffs[0] == 0 and len(coeffs) > 1:
-        pass  # root at zero handled by factor_once
     try:
         factor = unifactor.factor_once(coeffs)
     except LuError as exc:
@@ -363,12 +361,7 @@ def _subst_dense(ell, coeffs):
 
 def is_prime(I):
     """Primality verdict for a polynomial ideal; see the module docstring."""
-    key = (I.ring, I.groebner())
-    if key in _PRIME_MEMO:
-        return _PRIME_MEMO[key]
-    out = _is_prime_uncached(I)
-    _PRIME_MEMO[key] = out
-    return out
+    return _PRIME_MEMO.get((I.ring, I.groebner()), lambda: _is_prime_uncached(I))
 
 
 def _is_prime_uncached(I):
@@ -414,12 +407,7 @@ def require_prime(I, what):
 
 def radical(I):
     """The radical, computed by certified augmentation; refuses what it cannot prove."""
-    key = (I.ring, I.groebner())
-    if key in _RADICAL_MEMO:
-        return _RADICAL_MEMO[key]
-    out = _radical_uncached(I)
-    _RADICAL_MEMO[key] = out
-    return out
+    return _RADICAL_MEMO.get((I.ring, I.groebner()), lambda: _radical_uncached(I))
 
 
 def _radical_uncached(I):

@@ -100,7 +100,11 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, Fraction):
-            # denominator must be invertible mod p
+            if x.denominator % self.p == 0:
+                raise LuError(
+                    f"coefficient {x} has no value in GF({self.p}): "
+                    f"its denominator is divisible by p = {self.p}"
+                )
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise LuError(f"cannot coerce {x!r} into GF({self.p})")
 

@@ -4,9 +4,17 @@ The basis engine is plain Buchberger with the sugar selection strategy and
 the two classical pair-dropping criteria, followed by full inter-reduction,
 so a (ring, order) pair determines the basis uniquely.  Everything downstream
 (membership, colon, saturation, elimination, intersection) reduces to it.
+
+Bases are served through `groebner_basis`, a process-wide memo in front of
+`buchberger` keyed by (order, limits, generator tuple).  It holds the
+MEMO_CAP = 128 most recently used bases and stores successful results only,
+so a ResourceLimit is raised again on the next request rather than cached.
+The `Memo` class behind it also bounds the primality and radical memos of
+`lu.decomp`.
 """
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .errors import LuError, ResourceLimit
@@ -19,6 +27,7 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    sub_shifted,
 )
 
 
@@ -31,6 +40,45 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+MEMO_CAP = 128
+
+
+class Memo:
+    """Least-recently-used results, at most MEMO_CAP of them.
+
+    Only results are stored: when `compute` raises (a ResourceLimit, say),
+    nothing is kept and the next lookup of that key computes again.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self):
+        self._data = OrderedDict()
+
+    def __len__(self):
+        return len(self._data)
+
+    def get(self, key, compute):
+        data = self._data
+        if key in data:
+            data.move_to_end(key)
+            return data[key]
+        out = compute()
+        data[key] = out
+        if len(data) > MEMO_CAP:
+            data.popitem(last=False)
+        return out
+
+
+_BASES = Memo()
+
+
+def groebner_basis(gens, order, limits=None):
+    """buchberger(gens, order, limits), memoized on (order, limits, gens)."""
+    gens = tuple(gens)
+    limits = limits or DEFAULT_LIMITS
+    return _BASES.get((order, limits, gens), lambda: buchberger(gens, order, limits))
 
 
 class _Meter:
@@ -67,34 +115,28 @@ def normal_form(f, basis, order, meter=None):
         return f
     ring = f.ring
     F = ring.field
-    lts = [(g.leading(order), g) for g in basis]
+    lts = []
+    for g in basis:
+        eg, cg = g.leading(order)
+        tail = [(e2, c2) for e2, c2 in g.terms.items() if e2 != eg]
+        lts.append((eg, cg, tail, len(g.terms)))
     rem = {}
     p = dict(f.terms)
     while p:
         e = max(p, key=order.key)
         c = p.pop(e)
         hit = None
-        for (eg, cg), g in lts:
-            if mono_divides(eg, e):
-                hit = (eg, cg, g)
+        for lt in lts:
+            if mono_divides(lt[0], e):
+                hit = lt
                 break
         if hit is None:
             rem[e] = c
             continue
-        eg, cg, g = hit
-        shift = mono_div(e, eg)
-        scale = F.div(c, cg)
+        eg, cg, tail, size = hit
         if meter:
-            meter.charge(len(g.terms))
-        for e2, c2 in g.terms.items():
-            if e2 == eg:
-                continue
-            e3 = mono_mul(e2, shift)
-            s = F.sub(p.get(e3, F.zero), F.mul(c2, scale))
-            if s == F.zero:
-                p.pop(e3, None)
-            else:
-                p[e3] = s
+            meter.charge(size)
+        sub_shifted(p, tail, mono_div(e, eg), F.div(c, cg), F)
     return Polynomial(ring, rem)
 
 
@@ -115,13 +157,7 @@ def exact_divide(f, d, order=None):
         shift = mono_div(e, ed)
         scale = F.div(p[e], cd)
         q[shift] = scale
-        for e2, c2 in d.terms.items():
-            e3 = mono_mul(e2, shift)
-            s = F.sub(p.get(e3, F.zero), F.mul(c2, scale))
-            if s == F.zero:
-                p.pop(e3, None)
-            else:
-                p[e3] = s
+        sub_shifted(p, d.terms.items(), shift, scale, F)
     return Polynomial(ring, q)
 
 
@@ -139,19 +175,15 @@ def inter_reduce(G, order):
     """Minimal reduced basis: monic, mutually irreducible, biggest first."""
     G = [g for g in G if not g.is_zero()]
     G.sort(key=lambda g: order.key(g.leading(order)[0]))
-    keep = []
-    for i, g in enumerate(G):
-        eg = g.leading(order)[0]
-        dominated = False
-        for k, h in enumerate(G):
-            if k == i:
-                continue
-            eh = h.leading(order)[0]
-            if mono_divides(eh, eg) and (eh != eg or k < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
+    lead = [g.leading(order)[0] for g in G]
+    keep = [
+        g
+        for i, (g, eg) in enumerate(zip(G, lead))
+        if not any(
+            k != i and mono_divides(eh, eg) and (eh != eg or k < i)
+            for k, eh in enumerate(lead)
+        )
+    ]
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
@@ -168,20 +200,17 @@ def buchberger(gens, order, limits=None):
     if not G:
         return ()
 
+    lead = [g.leading(order)[0] for g in G]  # grows with G
     sugar = [g.degree() for g in G]
     pending = set()
     heap = []
 
-    def lt(i):
-        return G[i].leading(order)[0]
-
     def push_pair(i, j):
-        l = mono_lcm(lt(i), lt(j))
-        s = max(
-            sugar[i] + mono_deg(l) - mono_deg(lt(i)),
-            sugar[j] + mono_deg(l) - mono_deg(lt(j)),
-        )
-        heapq.heappush(heap, (s, mono_deg(l), i, j))
+        li, lj = lead[i], lead[j]
+        l = mono_lcm(li, lj)
+        dl = mono_deg(l)
+        s = max(sugar[i] + dl - mono_deg(li), sugar[j] + dl - mono_deg(lj))
+        heapq.heappush(heap, (s, dl, i, j))
         pending.add((i, j))
 
     for j in range(len(G)):
@@ -193,15 +222,15 @@ def buchberger(gens, order, limits=None):
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        li, lj = lt(i), lt(j)
+        li, lj = lead[i], lead[j]
         l = mono_lcm(li, lj)
         if l == mono_mul(li, lj):
             continue  # coprime leading terms reduce to zero
         chained = False
-        for k in range(len(G)):
-            if k in (i, j):
+        for k, lk in enumerate(lead):
+            if k == i or k == j:
                 continue
-            if mono_divides(lt(k), l):
+            if mono_divides(lk, l):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -214,6 +243,7 @@ def buchberger(gens, order, limits=None):
         if h.is_zero():
             continue
         G.append(h.monic(order))
+        lead.append(G[-1].leading(order)[0])
         sugar.append(max(s, h.degree()))
         new = len(G) - 1
         for i2 in range(new):
@@ -232,7 +262,13 @@ def _fresh_name(ring, base):
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced bases per order."""
+    """A finitely generated ideal with cached reduced bases per order.
+
+    Each instance keeps the bases it has asked for, one per order.  A miss
+    there goes to the shared `groebner_basis` memo (at most MEMO_CAP bases,
+    least recently used dropped first), so ideals with the same generator
+    tuple share one computation.
+    """
 
     __slots__ = ("ring", "gens", "_gb")
 
@@ -260,7 +296,7 @@ class Ideal:
     def groebner(self, order=None, limits=None):
         order = order or degrevlex(self.ring.n)
         if order not in self._gb:
-            self._gb[order] = buchberger(self.gens, order, limits)
+            self._gb[order] = groebner_basis(self.gens, order, limits)
         return self._gb[order]
 
     def canonical_gb(self, limits=None):
@@ -309,7 +345,7 @@ class Ideal:
         if not self.gens or not other.gens:
             return Ideal(self.ring, [])
         gens = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ring, buchberger(gens, degrevlex(self.ring.n)))
+        return Ideal(self.ring, groebner_basis(gens, degrevlex(self.ring.n)))
 
     def power(self, k):
         if k < 0:

@@ -6,10 +6,12 @@ work: basis elements whose first entry is zero generate exactly the
 relations that land in the allowed modulus.
 """
 
+from collections import deque
+
 from .errors import LuError
 from .ideals import _Meter, normal_form
 from .orders import degrevlex
-from .poly import Polynomial, mono_div, mono_divides, mono_lcm
+from .poly import Polynomial, mono_div, mono_divides, mono_lcm, sub_shifted
 
 
 def _lead(vec, order):
@@ -23,33 +25,35 @@ def _lead(vec, order):
 
 def _vec_sub_scaled(u, v, exps, coeff):
     """u - coeff * x^exps * v, componentwise."""
-    ring = None
     out = []
     for a, b in zip(u, v):
-        ring = a.ring
         if b.is_zero():
             out.append(a)
-        else:
-            mono = Polynomial(ring, {exps: coeff})
-            out.append(a - mono * b)
+            continue
+        t = dict(a.terms)
+        sub_shifted(t, b.terms.items(), exps, coeff, a.ring.field)
+        out.append(Polynomial(a.ring, t))
     return tuple(out)
 
 
-def _head_reduce(vec, basis, order, meter):
-    """Reduce the leading term as long as some basis leader divides it."""
+def _head_reduce(vec, basis, leads, order, meter):
+    """Reduce the leading term as long as some basis leader divides it.
+
+    `leads[k]` is `_lead(basis[k], order)`; returns the reduced vector and
+    its own leading term.
+    """
     while True:
         ld = _lead(vec, order)
         if ld is None:
-            return vec
+            return vec, ld
         pos, e, c = ld
         hit = None
-        for b in basis:
-            lb = _lead(b, order)
-            if lb and lb[0] == pos and mono_divides(lb[1], e):
+        for b, lb in zip(basis, leads):
+            if lb[0] == pos and mono_divides(lb[1], e):
                 hit = (b, lb)
                 break
         if hit is None:
-            return vec
+            return vec, ld
         b, (_, eb, cb) = hit
         F = vec[0].ring.field
         meter.charge(sum(len(x.terms) for x in b))
@@ -62,28 +66,26 @@ def module_groebner(vectors, order=None, limits=None):
     if not vecs:
         return []
     ring = vecs[0][0].ring
+    F = ring.field
     order = order or degrevlex(ring.n)
     meter = _Meter(limits)
     G = list(vecs)
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    leads = [_lead(v, order) for v in G]  # grows with G
+    pairs = deque((i, j) for j in range(len(G)) for i in range(j))
     while pairs:
-        i, j = pairs.pop(0)
-        li, lj = _lead(G[i], order), _lead(G[j], order)
+        i, j = pairs.popleft()
+        li, lj = leads[i], leads[j]
         if li[0] != lj[0]:
             continue  # different leading positions never interact
         meter.step_reduction()
-        F = ring.field
         l = mono_lcm(li[1], lj[1])
-        si = _vec_sub_scaled(
-            tuple(ring.zero() for _ in G[i]), G[i], mono_div(l, li[1]), F.neg(F.inv(li[2]))
-        )
-        sj = _vec_sub_scaled(
-            tuple(ring.zero() for _ in G[j]), G[j], mono_div(l, lj[1]), F.neg(F.inv(lj[2]))
-        )
-        s = tuple(a - b for a, b in zip(si, sj))
-        s = _head_reduce(s, G, order, meter)
-        if any(not c.is_zero() for c in s):
+        zero = tuple(ring.zero() for _ in G[i])
+        si = _vec_sub_scaled(zero, G[i], mono_div(l, li[1]), F.neg(F.inv(li[2])))
+        s = _vec_sub_scaled(si, G[j], mono_div(l, lj[1]), F.inv(lj[2]))
+        s, ls = _head_reduce(s, G, leads, order, meter)
+        if ls is not None:
             G.append(s)
+            leads.append(ls)
             pairs.extend((i2, len(G) - 1) for i2 in range(len(G) - 1))
     return G
 

@@ -6,6 +6,7 @@ dataclasses so they can index Groebner basis caches.
 """
 
 from dataclasses import dataclass
+from operator import mul, neg
 
 from .errors import DimensionMismatch
 
@@ -37,7 +38,7 @@ class DegRevLex:
     arity: int
 
     def key(self, e):
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e), tuple(map(neg, reversed(e))))
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,7 @@ class WeightRefined:
         return self.tie.arity
 
     def key(self, e):
-        w = tuple(sum(r[i] * e[i] for i in range(len(e))) for r in self.rows)
-        return (w, self.tie.key(e))
+        return (tuple(sum(map(mul, r, e)) for r in self.rows), self.tie.key(e))
 
 
 def compare_monomials(order, a, b):

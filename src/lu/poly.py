@@ -1,6 +1,7 @@
 """Exact multivariate polynomials with dictionary term storage."""
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import DimensionMismatch, ExponentOverflow, LuError
 from .orders import canonical_order
@@ -9,7 +10,7 @@ EXP_CAP = 1 << 16
 
 
 def mono_mul(a, b):
-    c = tuple(x + y for x, y in zip(a, b))
+    c = tuple(map(add, a, b))
     for x in c:
         if x > EXP_CAP:
             raise ExponentOverflow(f"exponent {x} exceeds the cap {EXP_CAP}")
@@ -18,24 +19,39 @@ def mono_mul(a, b):
 
 def mono_divides(a, b):
     """True when the monomial with exponents a divides the one with exponents b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """Exponent difference b - a; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(b, a))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_deg(a):
     return sum(a)
+
+
+def sub_shifted(t, terms, shift, scale, F):
+    """t -= scale * x^shift * (the (exponent, coefficient) pairs), in place.
+
+    Entries that cancel are removed from the term dictionary t.
+    """
+    zero = F.zero
+    for e, c in terms:
+        e3 = mono_mul(e, shift)
+        s = F.sub(t.get(e3, zero), F.mul(c, scale))
+        if s == zero:
+            t.pop(e3, None)
+        else:
+            t[e3] = s
 
 
 class PolyRing:
@@ -103,13 +119,6 @@ class PolyRing:
         if c == self.field.zero:
             return self.zero()
         return Polynomial(self, {exps: c})
-
-    def from_terms(self, items):
-        """Build a polynomial from (exps, coeff) pairs, merging duplicates."""
-        acc = self.zero()
-        for e, c in items:
-            acc = acc + self.monomial(e, c)
-        return acc
 
     def extend(self, extra):
         """Same field, variables of self followed by the new names."""

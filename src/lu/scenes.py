@@ -12,13 +12,14 @@ import json
 import re
 from importlib import resources
 
-from .errors import SceneError
+from .errors import CertificationError, ResourceLimit, SceneError, UnsupportedInstance
 from .fields import GF, QQ
 from .ideals import Ideal
 from .localring import LocalRing, is_normally_flat, is_regular_local, nilpotent_length
 from .parse import parse_many, parse_poly
 from .poly import PolyRing
 from .blowup import local_blowup
+from .pipeline import UNIFORMIZED
 from .valuations import WeightValuation
 
 _FIXTURE = re.compile(r"^F[1-9][0-9]*$")
@@ -111,6 +112,18 @@ def load_scene(source):
     return scene_from_dict(data)
 
 
+def _final_fact(trace, compute):
+    """A fact about the final chart, or None when a run that ended without
+    a Uniformized verdict stopped on a chart where the fact cannot be
+    certified."""
+    try:
+        return compute()
+    except (UnsupportedInstance, CertificationError, ResourceLimit):
+        if trace.verdict == UNIFORMIZED:
+            raise
+        return None
+
+
 def trace_to_dict(trace):
     steps = []
     for s in trace.steps:
@@ -131,9 +144,9 @@ def trace_to_dict(trace):
         "final": {
             "ideal_gb": list(final.defining.canonical_strings()),
             "center_gb": list(final.center.canonical_strings()),
-            "regular": is_regular_local(final.reduced()).regular,
-            "normally_flat": is_normally_flat(final).flat,
-            "N": nilpotent_length(final),
+            "regular": _final_fact(trace, lambda: is_regular_local(final.reduced()).regular),
+            "normally_flat": _final_fact(trace, lambda: is_normally_flat(final).flat),
+            "N": _final_fact(trace, lambda: nilpotent_length(final)),
         },
         "verdict": trace.verdict,
         "reason": trace.reason,
@@ -146,8 +159,10 @@ def trace_to_json(trace):
 
 
 def write_trace(trace, path):
+    """Serialize first, so a trace that cannot be serialized leaves no file."""
+    text = trace_to_json(trace)
     with open(path, "w") as fh:
-        fh.write(trace_to_json(trace))
+        fh.write(text)
 
 
 def replay_trace(source, trace_json):

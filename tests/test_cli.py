@@ -2,20 +2,22 @@
 
 import json
 
+import lu.scenes
 from lu.cli import main
+from lu.errors import LuError
 
 
-def _cusp_file(tmp_path):
+def _cusp_file(tmp_path, field="Q", ideal="y^2 - x^3"):
     path = tmp_path / "cusp.json"
     path.write_text(
         json.dumps(
             {
-                "field": "Q",
+                "field": field,
                 "vars": ["x", "y"],
-                "ideal": ["y^2 - x^3"],
+                "ideal": [ideal],
                 "localize_at": ["x", "y"],
                 "valuation": {
-                    "support": ["y^2 - x^3"],
+                    "support": [ideal],
                     "weights": {"x": [2], "y": [3]},
                     "rank": 1,
                 },
@@ -96,3 +98,33 @@ def test_step_commands(capsys):
     assert main(["step3", "F2"]) == 0
     out = capsys.readouterr().out
     assert "normal-flat" in out
+
+
+def test_unsupported_run_writes_a_trace_with_null_facts(tmp_path, capsys):
+    trace_path = tmp_path / "trace.json"
+    scene = _cusp_file(tmp_path, field={"Fp": 7})
+    assert main(["run", scene, "--trace", str(trace_path)]) == 2
+    assert "verdict: Unsupported" in capsys.readouterr().out
+    data = json.loads(trace_path.read_text())
+    assert data["verdict"] == "Unsupported"
+    assert data["final"]["ideal_gb"] == ["y^2 + 6*x^3"]
+    assert (data["final"]["regular"], data["final"]["normally_flat"], data["final"]["N"]) == (
+        None, None, None)
+
+
+def test_failed_serialization_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def refuse(trace):
+        raise LuError("cannot serialize")
+
+    monkeypatch.setattr(lu.scenes, "trace_to_json", refuse)
+    trace_path = tmp_path / "trace.json"
+    assert main(["run", "F4", "--trace", str(trace_path)]) == 1
+    assert "cannot serialize" in capsys.readouterr().err
+    assert not trace_path.exists()
+
+
+def test_run_refuses_a_coefficient_with_no_value_mod_p(tmp_path, capsys):
+    scene = _cusp_file(tmp_path, field={"Fp": 3}, ideal="y^2 - 1/3*x^3")
+    assert main(["run", scene]) == 1
+    err = capsys.readouterr().err
+    assert "1/3" in err and "GF(3)" in err

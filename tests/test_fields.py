@@ -50,3 +50,10 @@ def test_fields_compare_by_value():
     assert GF(5) == GF(5)
     assert GF(5) != GF(7)
     assert QQ == QQ
+
+
+def test_gf_refuses_a_denominator_divisible_by_p():
+    F = GF(3)
+    assert F.coerce(Fraction(1, 2)) == 2
+    with pytest.raises(LuError, match=r"1/3 .*GF\(3\)"):
+        F.coerce(Fraction(1, 3))

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lu import ideals
 from lu.errors import ResourceLimit
-from lu.ideals import Ideal, Limits
-from lu.orders import elimination_order
+from lu.ideals import Ideal, Limits, Memo, buchberger, groebner_basis
+from lu.orders import degrevlex, elimination_order
 from lu.parse import parse_many, parse_poly
 
 from conftest import ideal, ring
@@ -155,3 +156,50 @@ def test_minimal_generators(xy):
     mg = I.minimal_generators()
     assert Ideal(xy, mg) == I
     assert len(mg) == 2
+
+
+def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent():
+    cap = ideals.MEMO_CAP
+    memo = Memo()
+    for k in range(cap):
+        assert memo.get(k, lambda: k * k) == k * k
+    assert len(memo) == cap
+    assert memo.get(0, lambda: "recomputed") == 0  # touched: now most recent
+    memo.get(cap, lambda: cap * cap)  # evicts 1, the least recently used
+    assert len(memo) == cap
+    assert memo.get(1, lambda: "recomputed") == "recomputed"
+    assert memo.get(0, lambda: "recomputed") == 0
+    assert len(memo) == cap
+    assert len(ideals._BASES) <= cap
+
+
+def test_memo_does_not_keep_a_resource_limit():
+    memo = Memo()
+
+    def over_budget():
+        raise ResourceLimit("over budget")
+
+    with pytest.raises(ResourceLimit):
+        memo.get("k", over_budget)
+    assert len(memo) == 0
+    assert memo.get("k", lambda: "basis") == "basis"
+
+    R = ring("x", "y", "z")
+    gens = tuple(parse_many(R, ["x^4 + y^4 + z^4 - 1", "x^3*y - y^3*z + z^3*x",
+                                "x*y*z - x - y - z"]))
+    tight = Limits(reductions=5, term_ops=200)
+    held = len(ideals._BASES)
+    for _ in range(2):
+        with pytest.raises(ResourceLimit):
+            groebner_basis(gens, degrevlex(3), tight)
+    assert len(ideals._BASES) == held
+
+
+def test_memo_hit_returns_the_cold_basis(uxy):
+    gens = parse_many(uxy, ["u*y - x^2", "x^3 - u", "y^2*x - 1"])
+    order = degrevlex(3)
+    cold = buchberger(gens, order)
+    first = groebner_basis(gens, order)
+    assert first == cold
+    assert groebner_basis(gens, order) is first  # served from the memo
+    assert Ideal(uxy, gens).groebner() is first

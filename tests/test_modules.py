@@ -1,7 +1,14 @@
 import random
 
 from lu.ideals import Ideal
-from lu.modules import determinant, minors, rank_mod_prime, reduce_entries, relation_module
+from lu.modules import (
+    determinant,
+    minors,
+    module_groebner,
+    rank_mod_prime,
+    reduce_entries,
+    relation_module,
+)
 from lu.parse import parse_many, parse_poly
 
 from conftest import ideal, ring
@@ -86,3 +93,27 @@ def test_reduce_entries(xy):
     I = ideal(xy, "x^2")
     vec = parse_many(xy, ["x^3 + y", "x"])
     assert [c.text() for c in reduce_entries(vec, I)] == ["y", "x"]
+
+
+def test_module_groebner_frozen(uvxy):
+    rows = [["x", "1", "0", "0"], ["y", "0", "1", "0"], ["u*y - v*x", "0", "0", "1"],
+            ["x^2", "0", "0", "0"], ["x*y - 1/2*u", "0", "0", "0"], ["y^2", "0", "0", "0"]]
+    G = module_groebner([tuple(parse_many(uvxy, r)) for r in rows])
+    assert [[c.text() for c in v] for v in G] == rows + [
+        ["0", "y", "-x", "0"],
+        ["0", "v", "-u", "1"],
+        ["0", "0", "-u*y + v*x", "y"],
+        ["0", "x", "0", "0"],
+        ["0", "0", "x^2", "0"],
+        ["0", "0", "u*x", "-x"],
+        ["1/2*u", "y", "0", "0"],
+        ["0", "-1/2*u", "0", "0"],
+        ["0", "0", "x*y", "0"],
+        ["0", "0", "y", "0"],
+        ["0", "0", "0", "-y^2"],
+        ["0", "0", "1/2*u", "0"],
+        ["0", "0", "0", "u*y + v*x"],
+        ["0", "0", "0", "x^2"],
+        ["0", "0", "0", "-u"],
+        ["0", "0", "0", "x"],
+    ]

@@ -1,10 +1,13 @@
 """Scene loading, trace serialization, and replay."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from lu.errors import SceneError
+import lu.scenes
+from lu.errors import DimensionMismatch, SceneError
 from lu.fields import QQ
 from lu.pipeline import run_reduction
 from lu.scenes import (
@@ -143,3 +146,28 @@ def test_replay_catches_tampering():
     data["final"]["center_gb"] = ["y"]
     problems = replay_trace("F2", json.dumps(data))
     assert any(p.startswith("final") for p in problems)
+
+
+GOLDEN_SHA256 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "sha256.json"
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
+def test_fixture_traces_match_the_golden_sha256(name):
+    """Trace bytes are pinned by the benchmark's recorded hashes (read only)."""
+    golden = json.loads(GOLDEN_SHA256.read_text())
+    text = trace_to_json(run_reduction(*load_scene(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == golden[name]
+
+
+def test_only_refusals_become_null_facts(monkeypatch):
+    """An Unsupported trace writes a refused fact as null; any other error still shows."""
+    trace = run_reduction(*scene_from_dict(dict(_cusp_dict(), field={"Fp": 7})))
+    assert trace.verdict == "Unsupported"
+    assert trace_to_dict(trace)["final"]["N"] is None
+
+    def broken(L):
+        raise DimensionMismatch("wrong arity")
+
+    monkeypatch.setattr(lu.scenes, "nilpotent_length", broken)
+    with pytest.raises(DimensionMismatch):
+        trace_to_dict(trace)
