@@ -149,14 +149,6 @@ def transport_through_blowup(nu, B):
     return WeightValuation(B.chart.ring, supp1, rows)
 
 
-def is_compatible(B, mu):
-    """Whether mu extends over the chart unchanged: b is a mu unit and the
-    chart variables get positive value."""
-    if not mu.value_of(B.b).is_zero:
-        return False
-    return all(mu.value_of(a).is_positive for a in B.a_list)
-
-
 @dataclass(frozen=True)
 class CenterIsoReport:
     ok: bool

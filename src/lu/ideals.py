@@ -4,13 +4,17 @@ The basis engine is plain Buchberger with the sugar selection strategy and
 the two classical pair-dropping criteria, followed by full inter-reduction,
 so a (ring, order) pair determines the basis uniquely.  Everything downstream
 (membership, colon, saturation, elimination, intersection) reduces to it.
+It is the package's only Groebner engine: `lu.modules` encodes submodules
+of R^s as ideals over tag variables under a `PositionOverTerm` order, and
+`buchberger` never pairs two leading terms in different positions.
 
-Bases are served through `groebner_basis`, a process-wide memo in front of
-`buchberger` keyed by (order, limits, generator tuple).  It holds the
-MEMO_CAP = 128 most recently used bases and stores successful results only,
-so a ResourceLimit is raised again on the next request rather than cached.
-The `Memo` class behind it also bounds the primality and radical memos of
-`lu.decomp`.
+Every computation is metered against the one module-level BUDGET and raises
+ResourceLimit when it runs out.  Bases of ideals and modules alike are served
+through `groebner_basis`, a process-wide memo in front of `buchberger` keyed
+by (order, generator tuple).  It holds the MEMO_CAP = 128 most recently used
+bases and stores successful results only, so a ResourceLimit is raised again
+on the next request rather than cached.  The `Memo` class behind it also
+bounds the primality and radical memos of `lu.decomp`.
 """
 
 import heapq
@@ -39,7 +43,7 @@ class Limits:
     term_ops: int = 1_000_000
 
 
-DEFAULT_LIMITS = Limits()
+BUDGET = Limits()
 
 MEMO_CAP = 128
 
@@ -74,18 +78,17 @@ class Memo:
 _BASES = Memo()
 
 
-def groebner_basis(gens, order, limits=None):
-    """buchberger(gens, order, limits), memoized on (order, limits, gens)."""
+def groebner_basis(gens, order):
+    """buchberger(gens, order), memoized on (order, gens)."""
     gens = tuple(gens)
-    limits = limits or DEFAULT_LIMITS
-    return _BASES.get((order, limits, gens), lambda: buchberger(gens, order, limits))
+    return _BASES.get((order, gens), lambda: buchberger(gens, order))
 
 
 class _Meter:
     __slots__ = ("limits", "reductions", "term_ops")
 
-    def __init__(self, limits):
-        self.limits = limits or DEFAULT_LIMITS
+    def __init__(self):
+        self.limits = BUDGET
         self.reductions = 0
         self.term_ops = 0
 
@@ -193,13 +196,18 @@ def inter_reduce(G, order):
     return tuple(out)
 
 
-def buchberger(gens, order, limits=None):
-    """Reduced Groebner basis of the ideal the generators span."""
-    meter = _Meter(limits)
+def buchberger(gens, order):
+    """Reduced Groebner basis of the ideal the generators span.
+
+    Under an order with a `position` (a module order), a pair whose leading
+    terms sit in different positions is never formed.
+    """
+    meter = _Meter()
     G = [g.monic(order) for g in gens if not g.is_zero()]
     if not G:
         return ()
 
+    position = getattr(order, "position", None)
     lead = [g.leading(order)[0] for g in G]  # grows with G
     sugar = [g.degree() for g in G]
     pending = set()
@@ -207,6 +215,8 @@ def buchberger(gens, order, limits=None):
 
     def push_pair(i, j):
         li, lj = lead[i], lead[j]
+        if position and position(li) != position(lj):
+            return
         l = mono_lcm(li, lj)
         dl = mono_deg(l)
         s = max(sugar[i] + dl - mono_deg(li), sugar[j] + dl - mono_deg(lj))
@@ -293,27 +303,27 @@ class Ideal:
         inner = ", ".join(g.text() for g in self.gens) or "0"
         return f"Ideal({inner})"
 
-    def groebner(self, order=None, limits=None):
+    def groebner(self, order=None):
         order = order or degrevlex(self.ring.n)
         if order not in self._gb:
-            self._gb[order] = groebner_basis(self.gens, order, limits)
+            self._gb[order] = groebner_basis(self.gens, order)
         return self._gb[order]
 
-    def canonical_gb(self, limits=None):
-        return self.groebner(self.ring.canonical, limits)
+    def canonical_gb(self):
+        return self.groebner(self.ring.canonical)
 
-    def canonical_strings(self, limits=None):
-        return [g.text() for g in self.canonical_gb(limits)]
+    def canonical_strings(self):
+        return [g.text() for g in self.canonical_gb()]
 
-    def normal_form(self, f, order=None, limits=None):
+    def normal_form(self, f, order=None):
         order = order or degrevlex(self.ring.n)
-        return normal_form(f, self.groebner(order, limits), order)
+        return normal_form(f, self.groebner(order), order)
 
-    def contains(self, f, limits=None):
-        return self.normal_form(f, limits=limits).is_zero()
+    def contains(self, f):
+        return self.normal_form(f).is_zero()
 
-    def contains_ideal(self, other, limits=None):
-        return all(self.contains(g, limits) for g in other.gens)
+    def contains_ideal(self, other):
+        return all(self.contains(g) for g in other.gens)
 
     def is_zero_ideal(self):
         return not self.groebner()
@@ -355,24 +365,24 @@ class Ideal:
             acc = acc.multiply(self)
         return acc
 
-    def eliminate(self, drop, limits=None):
+    def eliminate(self, drop):
         """Generators of the ideal's contraction to the subring avoiding `drop`.
 
         Result still lives in the ambient ring; its generators mention no
         dropped variable and form a basis of the contraction.
         """
         order = elimination_order(self.ring.names, drop)
-        gb = self.groebner(order, limits)
+        gb = self.groebner(order)
         dropset = set(drop)
         kept = [g for g in gb if not (g.variables() & dropset)]
         return Ideal(self.ring, kept)
 
-    def eliminate_restrict(self, drop, limits=None):
+    def eliminate_restrict(self, drop):
         """Same as eliminate, reinterpreted in the smaller ring."""
         small = self.ring.drop(drop)
-        return Ideal(small, [g.restrict_to(small) for g in self.eliminate(drop, limits).gens])
+        return Ideal(small, [g.restrict_to(small) for g in self.eliminate(drop).gens])
 
-    def intersect(self, other, limits=None):
+    def intersect(self, other):
         if other.ring != self.ring:
             raise LuError("intersection of ideals from different rings")
         ring = self.ring
@@ -381,10 +391,10 @@ class Ideal:
         t = big.var(tname)
         gens = [t * g.substitute(big) for g in self.gens]
         gens += [(big.one() - t) * g.substitute(big) for g in other.gens]
-        inner = Ideal(big, gens).eliminate([tname], limits)
+        inner = Ideal(big, gens).eliminate([tname])
         return Ideal(ring, [g.restrict_to(ring) for g in inner.gens])
 
-    def colon(self, f, limits=None):
+    def colon(self, f):
         """The transporter (self : f) for a single polynomial f."""
         if not isinstance(f, Polynomial):
             f = self.ring.const(f)
@@ -392,22 +402,22 @@ class Ideal:
             return Ideal(self.ring, [self.ring.one()])
         if f.constant_value() is not None:
             return self
-        if self.contains(f, limits):
+        if self.contains(f):
             return Ideal(self.ring, [self.ring.one()])
-        meet = self.intersect(Ideal(self.ring, [f]), limits)
+        meet = self.intersect(Ideal(self.ring, [f]))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens])
 
-    def colon_ideal(self, other, limits=None):
+    def colon_ideal(self, other):
         """(self : other) for an ideal, as the meet of the generator transporters."""
         if not other.gens:
             return Ideal(self.ring, [self.ring.one()])
         acc = None
         for g in other.gens:
-            c = self.colon(g, limits)
-            acc = c if acc is None else acc.intersect(c, limits)
+            c = self.colon(g)
+            acc = c if acc is None else acc.intersect(c)
         return acc
 
-    def saturation(self, f, limits=None):
+    def saturation(self, f):
         """(self : f^infinity) together with the stabilization exponent.
 
         Returns (J, N) where J = (self : f^N) = (self : f^(N+1)); N = 0 means
@@ -416,12 +426,8 @@ class Ideal:
         prev = self
         n = 0
         while True:
-            nxt = prev.colon(f, limits)
+            nxt = prev.colon(f)
             if nxt == prev:
                 return prev, n
             prev = nxt
             n += 1
-
-    def minimal_generators(self):
-        """Reduced default-order basis; a small deterministic generating set."""
-        return list(self.groebner())

@@ -51,9 +51,6 @@ class LocalRing:
     def nilradical(self):
         return radical(self.defining)
 
-    def is_reduced(self):
-        return self.nilradical() == self.defining
-
     def reduced(self):
         return LocalRing(self.ring, self.nilradical(), self.center, check=False)
 

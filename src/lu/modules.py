@@ -1,96 +1,47 @@
 """Syzygies of generator lists and matrix ranks over residue fields.
 
-Vectors are tuples of polynomials.  The module order is position over term
-with position 0 strongest, which is what makes first-component elimination
-work: basis elements whose first entry is zero generate exactly the
-relations that land in the allowed modulus.
+Vectors are tuples of polynomials.  A submodule of R^s has no Groebner
+engine of its own: `module_groebner` writes each vector as sum f_k*e_k over
+one tag variable e_k per position and hands it to `ideals.groebner_basis`,
+so modules share the ideal engine and its memo.  The order is position over
+term with position 0 strongest, which is what makes first-component
+elimination work: basis elements whose first entry is zero generate exactly
+the relations that land in the allowed modulus.
 """
 
-from collections import deque
-
 from .errors import LuError
-from .ideals import _Meter, normal_form
-from .orders import degrevlex
-from .poly import Polynomial, mono_div, mono_divides, mono_lcm, sub_shifted
+from .ideals import groebner_basis
+from .orders import PositionOverTerm, degrevlex
+from .poly import Polynomial
 
 
-def _lead(vec, order):
-    """(position, exponents, coeff) of the module leading term, None for zero."""
-    for i, c in enumerate(vec):
-        if not c.is_zero():
-            e, cf = c.leading(order)
-            return i, e, cf
-    return None
-
-
-def _vec_sub_scaled(u, v, exps, coeff):
-    """u - coeff * x^exps * v, componentwise."""
-    out = []
-    for a, b in zip(u, v):
-        if b.is_zero():
-            out.append(a)
-            continue
-        t = dict(a.terms)
-        sub_shifted(t, b.terms.items(), exps, coeff, a.ring.field)
-        out.append(Polynomial(a.ring, t))
-    return tuple(out)
-
-
-def _head_reduce(vec, basis, leads, order, meter):
-    """Reduce the leading term as long as some basis leader divides it.
-
-    `leads[k]` is `_lead(basis[k], order)`; returns the reduced vector and
-    its own leading term.
-    """
-    while True:
-        ld = _lead(vec, order)
-        if ld is None:
-            return vec, ld
-        pos, e, c = ld
-        hit = None
-        for b, lb in zip(basis, leads):
-            if lb[0] == pos and mono_divides(lb[1], e):
-                hit = (b, lb)
-                break
-        if hit is None:
-            return vec, ld
-        b, (_, eb, cb) = hit
-        F = vec[0].ring.field
-        meter.charge(sum(len(x.terms) for x in b))
-        vec = _vec_sub_scaled(vec, b, mono_div(e, eb), F.div(c, cb))
-
-
-def module_groebner(vectors, order=None, limits=None):
-    """Groebner basis of the submodule the vectors span, position-over-term."""
+def module_groebner(vectors):
+    """Reduced Groebner basis of the submodule the vectors span, position-over-term."""
     vecs = [tuple(v) for v in vectors if any(not c.is_zero() for c in v)]
     if not vecs:
         return []
     ring = vecs[0][0].ring
-    F = ring.field
-    order = order or degrevlex(ring.n)
-    meter = _Meter(limits)
-    G = list(vecs)
-    leads = [_lead(v, order) for v in G]  # grows with G
-    pairs = deque((i, j) for j in range(len(G)) for i in range(j))
-    while pairs:
-        i, j = pairs.popleft()
-        li, lj = leads[i], leads[j]
-        if li[0] != lj[0]:
-            continue  # different leading positions never interact
-        meter.step_reduction()
-        l = mono_lcm(li[1], lj[1])
-        zero = tuple(ring.zero() for _ in G[i])
-        si = _vec_sub_scaled(zero, G[i], mono_div(l, li[1]), F.neg(F.inv(li[2])))
-        s = _vec_sub_scaled(si, G[j], mono_div(l, lj[1]), F.inv(lj[2]))
-        s, ls = _head_reduce(s, G, leads, order, meter)
-        if ls is not None:
-            G.append(s)
-            leads.append(ls)
-            pairs.extend((i2, len(G) - 1) for i2 in range(len(G) - 1))
-    return G
+    n, s = ring.n, len(vecs[0])
+    tag = "_e"
+    while any(nm.startswith(tag) for nm in ring.names):
+        tag = "_" + tag
+    big = ring.extend(f"{tag}{k}" for k in range(s))
+    onehot = [(0,) * k + (1,) + (0,) * (s - 1 - k) for k in range(s)]
+    gens = [
+        Polynomial(big, {e + onehot[k]: c for k, f in enumerate(v) for e, c in f.terms.items()})
+        for v in vecs
+    ]
+    order = PositionOverTerm(degrevlex(n), s)
+    out = []
+    for g in groebner_basis(gens, order):
+        parts = [{} for _ in range(s)]
+        for e, c in g.terms.items():
+            parts[order.position(e)][e[:n]] = c
+        out.append(tuple(Polynomial(ring, t) for t in parts))
+    return out
 
 
-def relation_module(gens, modulus, limits=None):
+def relation_module(gens, modulus):
     """Generators of { u : sum u_i * gens_i lies in the modulus ideal }.
 
     Returns a list of tuples of length len(gens).
@@ -109,7 +60,7 @@ def relation_module(gens, modulus, limits=None):
         row = [ring.zero()] * (s + 1)
         row[0] = h
         vecs.append(tuple(row))
-    G = module_groebner(vecs, limits=limits)
+    G = module_groebner(vecs)
     out = []
     for v in G:
         if v[0].is_zero():

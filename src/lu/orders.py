@@ -10,8 +10,6 @@ from operator import mul, neg
 
 from .errors import DimensionMismatch
 
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class Lex:
@@ -63,18 +61,28 @@ class WeightRefined:
         return (tuple(sum(map(mul, r, e)) for r in self.rows), self.tie.key(e))
 
 
-def compare_monomials(order, a, b):
-    """Three-way comparison of two exponent tuples, returns LT, EQ, or GT."""
-    if len(a) != order.arity or len(b) != order.arity:
-        raise DimensionMismatch(
-            f"exponent arity ({len(a)}, {len(b)}) does not match order arity {order.arity}"
-        )
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
+@dataclass(frozen=True)
+class PositionOverTerm:
+    """Order on module elements sum f_k*e_k encoded as polynomials.
+
+    The exponent tuple holds `tie.arity` ring variables followed by one tag
+    variable per position, exactly one of them 1.  Position 0 is strongest;
+    inside a position `tie` decides.
+    """
+
+    tie: object
+    positions: int
+
+    @property
+    def arity(self):
+        return self.tie.arity + self.positions
+
+    def position(self, e):
+        return e.index(1, self.tie.arity) - self.tie.arity
+
+    def key(self, e):
+        n = self.tie.arity
+        return (e[n:], self.tie.key(e[:n]))
 
 
 def canonical_order(names):

@@ -237,9 +237,3 @@ def factor_once(a):
             return g
     return None
 
-
-def is_irreducible(a):
-    """True when a has positive degree and no proper factor."""
-    if deg(trim(a)) <= 0:
-        return False
-    return factor_once(a) is None

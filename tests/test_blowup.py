@@ -5,7 +5,6 @@ from conftest import ideal, ring, scene
 from lu.blowup import (
     compose,
     identity_blowup,
-    is_compatible,
     lift_from_localization,
     lift_from_quotient,
     local_blowup,
@@ -103,7 +102,9 @@ def test_identity_blowup_is_the_source():
     B = identity_blowup(local)
     assert B.chart == local
     assert B.t_names == ()
-    assert is_compatible(B, nu)
+    # nu extends over the chart unchanged: b is a unit, no chart variables
+    assert nu.value_of(B.b).is_zero
+    assert all(nu.value_of(a).is_positive for a in B.a_list)
 
 
 def test_refuses_denominator_in_the_support():

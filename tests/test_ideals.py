@@ -139,23 +139,29 @@ def test_saturation_frozen_values():
     assert n == 2
 
 
-def test_resource_limit():
-    R = ring("x", "y", "z")
+def test_resource_limit(monkeypatch):
+    # names no other test uses, so the memo cannot answer before the meter runs
+    R = ring("p", "q", "r")
     I = ideal(
         R,
-        "x^4 + y^4 + z^4 - 1",
-        "x^3*y - y^3*z + z^3*x",
-        "x*y*z - x - y - z",
+        "p^4 + q^4 + r^4 - 1",
+        "p^3*q - q^3*r + r^3*p",
+        "p*q*r - p - q - r",
     )
-    with pytest.raises(ResourceLimit):
-        I.groebner(limits=Limits(reductions=5, term_ops=200))
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=5, term_ops=10**6))
+    with pytest.raises(ResourceLimit, match="exceeded 5 reductions"):
+        I.groebner()
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=10**4, term_ops=200))
+    with pytest.raises(ResourceLimit, match="exceeded 200 term operations"):
+        I.groebner()
 
 
 def test_minimal_generators(xy):
+    """The reduced basis is a small generating set."""
     I = ideal(xy, "x", "x^2", "x + x*y", "y^3")
-    mg = I.minimal_generators()
-    assert Ideal(xy, mg) == I
-    assert len(mg) == 2
+    gb = list(I.groebner())
+    assert Ideal(xy, gb) == I
+    assert len(gb) == 2
 
 
 def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent():
@@ -173,7 +179,7 @@ def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent():
     assert len(ideals._BASES) <= cap
 
 
-def test_memo_does_not_keep_a_resource_limit():
+def test_memo_does_not_keep_a_resource_limit(monkeypatch):
     memo = Memo()
 
     def over_budget():
@@ -184,14 +190,14 @@ def test_memo_does_not_keep_a_resource_limit():
     assert len(memo) == 0
     assert memo.get("k", lambda: "basis") == "basis"
 
-    R = ring("x", "y", "z")
-    gens = tuple(parse_many(R, ["x^4 + y^4 + z^4 - 1", "x^3*y - y^3*z + z^3*x",
-                                "x*y*z - x - y - z"]))
-    tight = Limits(reductions=5, term_ops=200)
+    R = ring("a", "b", "c")
+    gens = tuple(parse_many(R, ["a^4 + b^4 + c^4 - 1", "a^3*b - b^3*c + c^3*a",
+                                "a*b*c - a - b - c"]))
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=5, term_ops=200))
     held = len(ideals._BASES)
     for _ in range(2):
         with pytest.raises(ResourceLimit):
-            groebner_basis(gens, degrevlex(3), tight)
+            groebner_basis(gens, degrevlex(3))
     assert len(ideals._BASES) == held
 
 

@@ -26,10 +26,21 @@ def test_relation_module_property(xy):
         assert modulus.contains(acc)
 
 
+def _texts(vectors):
+    return [[c.text() for c in v] for v in vectors]
+
+
+def _vectors(R, rows):
+    return [tuple(parse_many(R, r)) for r in rows]
+
+
 def test_relation_module_frozen(xy):
     gens = parse_many(xy, ["x", "y"])
     rows = relation_module(gens, ideal(xy, "x*y"))
-    assert [[c.text() for c in r] for r in rows] == [["y", "-x"], ["0", "x"]]
+    # the rows the FIFO module engine returned span the same module
+    old = _vectors(xy, [["y", "-x"], ["0", "x"]])
+    assert module_groebner(old) == module_groebner(rows)
+    assert _texts(rows) == [["y", "0"], ["0", "x"]]
 
 
 def test_determinant_and_minors(xy):
@@ -95,11 +106,18 @@ def test_reduce_entries(xy):
     assert [c.text() for c in reduce_entries(vec, I)] == ["y", "x"]
 
 
+_FROZEN_ROWS = [
+    ["x", "1", "0", "0"], ["y", "0", "1", "0"], ["u*y - v*x", "0", "0", "1"],
+    ["x^2", "0", "0", "0"], ["x*y - 1/2*u", "0", "0", "0"], ["y^2", "0", "0", "0"],
+]
+
+
 def test_module_groebner_frozen(uvxy):
-    rows = [["x", "1", "0", "0"], ["y", "0", "1", "0"], ["u*y - v*x", "0", "0", "1"],
-            ["x^2", "0", "0", "0"], ["x*y - 1/2*u", "0", "0", "0"], ["y^2", "0", "0", "0"]]
-    G = module_groebner([tuple(parse_many(uvxy, r)) for r in rows])
-    assert [[c.text() for c in v] for v in G] == rows + [
+    vecs = _vectors(uvxy, _FROZEN_ROWS)
+    G = module_groebner(vecs)
+    # the FIFO module engine's unreduced output: the inputs plus sixteen
+    # S-vector remainders, the same module as the reduced basis
+    old = _vectors(uvxy, _FROZEN_ROWS + [
         ["0", "y", "-x", "0"],
         ["0", "v", "-u", "1"],
         ["0", "0", "-u*y + v*x", "y"],
@@ -116,4 +134,34 @@ def test_module_groebner_frozen(uvxy):
         ["0", "0", "0", "x^2"],
         ["0", "0", "0", "-u"],
         ["0", "0", "0", "x"],
+    ])
+    assert module_groebner(old) == G
+    assert _texts(G) == [
+        ["u", "0", "2*x", "0"],
+        ["x", "1", "0", "0"],
+        ["y", "0", "1", "0"],
+        ["0", "u", "0", "0"],
+        ["0", "v", "0", "1"],
+        ["0", "x", "0", "0"],
+        ["0", "y", "-x", "0"],
+        ["0", "0", "v*x", "y"],
+        ["0", "0", "x^2", "0"],
+        ["0", "0", "u", "0"],
+        ["0", "0", "y", "0"],
+        ["0", "0", "0", "y^2"],
+        ["0", "0", "0", "u"],
+        ["0", "0", "0", "x"],
     ]
+
+
+def test_module_basis_ignores_presentation(uvxy):
+    """Reversed vectors plus a redundant sum give the same basis and relations."""
+    vecs = _vectors(uvxy, _FROZEN_ROWS)
+    total = tuple(sum(col, uvxy.zero()) for col in zip(*vecs))
+    shuffled = vecs[::-1] + [total]
+    assert module_groebner(shuffled) == module_groebner(vecs)
+
+    gens = parse_many(uvxy, ["x", "y", "u*y - v*x"])
+    modulus = ideal(uvxy, "x^2", "x*y - 1/2*u", "y^2")
+    again = Ideal(uvxy, list(modulus.gens[::-1]) + [sum(modulus.gens, uvxy.zero())])
+    assert relation_module(gens, again) == relation_module(gens, modulus)

@@ -2,14 +2,11 @@ import pytest
 
 from lu.errors import DimensionMismatch
 from lu.orders import (
-    EQ,
-    GT,
-    LT,
     DegRevLex,
     Lex,
+    PositionOverTerm,
     WeightRefined,
     canonical_order,
-    compare_monomials,
     degrevlex,
     elimination_order,
     weight_order,
@@ -35,33 +32,33 @@ def test_lex_priority_permutation():
 def test_degrevlex_classic_degree_two_chain():
     o = degrevlex(3)
     x2, xy, y2, xz = (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)
-    assert compare_monomials(o, x2, xy) == GT
-    assert compare_monomials(o, xy, y2) == GT
-    assert compare_monomials(o, y2, xz) == GT
-    assert compare_monomials(o, (1, 1, 2), (3, 0, 0)) == GT  # degree wins first
+    assert o.key(x2) > o.key(xy)
+    assert o.key(xy) > o.key(y2)
+    assert o.key(y2) > o.key(xz)
+    assert o.key((1, 1, 2)) > o.key((3, 0, 0))  # degree wins first
 
 
 def test_canonical_order_is_reverse_alphabetical_lex():
     """Later names dominate: on (u, v, x, y, t) the chain is y > x > v > u > t."""
     R = ring("u", "v", "x", "y", "t")
     o = canonical_order(R.names)
-    assert compare_monomials(o, _lead(R, "y", o), _lead(R, "x*t^5", o)) == GT
-    assert compare_monomials(o, _lead(R, "v^2", o), _lead(R, "u^9", o)) == GT
-    assert compare_monomials(o, _lead(R, "u^9", o), _lead(R, "t^3", o)) == GT
-    assert compare_monomials(o, _lead(R, "t", o), _lead(R, "t", o)) == EQ
+    assert o.key(_lead(R, "y", o)) > o.key(_lead(R, "x*t^5", o))
+    assert o.key(_lead(R, "v^2", o)) > o.key(_lead(R, "u^9", o))
+    assert o.key(_lead(R, "u^9", o)) > o.key(_lead(R, "t^3", o))
+    assert o.key(_lead(R, "t", o)) == o.key(_lead(R, "t", o))
 
 
 def test_weight_refined_max_convention():
     # heavier total weight wins; ties fall through to the refinement
     o = WeightRefined(((2, 1),), DegRevLex(2))
-    assert compare_monomials(o, (1, 2), (2, 0)) == GT  # tie at 4, degree decides
-    assert compare_monomials(o, (1, 0), (0, 1)) == GT  # weight 2 beats 1
-    assert compare_monomials(o, (1, 0), (0, 2)) == LT  # tie at 2, degree decides
+    assert o.key((1, 2)) > o.key((2, 0))  # tie at 4, degree decides
+    assert o.key((1, 0)) > o.key((0, 1))  # weight 2 beats 1
+    assert o.key((1, 0)) < o.key((0, 2))  # tie at 2, degree decides
 
 
 def test_weight_order_tie_is_degrevlex():
     o = weight_order(((1, 1),), 2)
-    assert compare_monomials(o, (1, 0), (0, 1)) == GT
+    assert o.key((1, 0)) > o.key((0, 1))
 
 
 def test_weight_refined_arity_check():
@@ -73,6 +70,15 @@ def test_elimination_order_blocks():
     """Any monomial touching a dropped variable beats any clean one."""
     R = ring("x", "y", "t")
     o = elimination_order(R.names, ("t",))
-    assert compare_monomials(o, _lead(R, "t", o), _lead(R, "x^9*y^9", o)) == GT
+    assert o.key(_lead(R, "t", o)) > o.key(_lead(R, "x^9*y^9", o))
     # away from the dropped block the tie-break is plain degrevlex
-    assert compare_monomials(o, _lead(R, "x^2", o), _lead(R, "x*y", o)) == GT
+    assert o.key(_lead(R, "x^2", o)) > o.key(_lead(R, "x*y", o))
+
+
+def test_position_over_term():
+    """Position 0 beats any term in a later position; degrevlex decides inside one."""
+    o = PositionOverTerm(DegRevLex(2), 3)
+    assert o.arity == 5
+    x_e0, y9_e1, xy_e1, y2_e1 = (1, 0, 1, 0, 0), (0, 9, 0, 1, 0), (1, 1, 0, 1, 0), (0, 2, 0, 1, 0)
+    assert [o.position(e) for e in (x_e0, y9_e1, (0, 0, 0, 0, 1))] == [0, 1, 2]
+    assert o.key(x_e0) > o.key(y9_e1) > o.key(xy_e1) > o.key(y2_e1)

@@ -1,8 +1,8 @@
 from fractions import Fraction as Fr
 
 from lu.unifactor import (
+    factor_once,
     gcd_poly,
-    is_irreducible,
     rational_roots,
     squarefree_part,
 )
@@ -13,16 +13,16 @@ def _c(*ints):
 
 
 def test_irreducible_quadratics():
-    assert is_irreducible(_c(1, 0, 1))  # x^2 + 1
-    assert not is_irreducible(_c(-1, 0, 1))  # (x-1)(x+1)
-    assert is_irreducible(_c(-2, 0, 1))  # x^2 - 2
-    assert not is_irreducible(_c(2))  # constants have no factors but no degree
+    assert factor_once(_c(1, 0, 1)) is None  # x^2 + 1
+    assert factor_once(_c(-1, 0, 1)) == _c(1, 1)  # (x-1)(x+1)
+    assert factor_once(_c(-2, 0, 1)) is None  # x^2 - 2
+    assert factor_once(_c(2)) is None  # constants have no proper factor
 
 
 def test_irreducible_needs_kronecker():
     # no rational roots either way; only a quadratic split can detect these
-    assert is_irreducible(_c(1, 1, 0, 0, 1))  # x^4 + x + 1
-    assert not is_irreducible(_c(4, 0, 0, 0, 1))  # x^4 + 4, Sophie Germain
+    assert factor_once(_c(1, 1, 0, 0, 1)) is None  # x^4 + x + 1
+    assert factor_once(_c(4, 0, 0, 0, 1)) is not None  # x^4 + 4, Sophie Germain
 
 
 def test_rational_roots():
