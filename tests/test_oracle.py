@@ -1,7 +1,18 @@
-"""The Groebner engine against an independent oracle, sympy's `groebner`.
+"""The Groebner engine and the ideal operations against an independent
+oracle, sympy's `groebner`.
 
 sympy is a test dependency only; the runtime keeps no CAS.  Inputs are small
-seeded random ideals and modules over Q and F_p.
+seeded random ideals and modules over Q and F_p.  The ideal operations are
+checked against the textbook formulas (Cox, Little & O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 3 §1 and ch. 4 §3-4), each evaluated with
+sympy alone:
+
+    I ∩ J       = (t*I + (1 - t)*J) ∩ k[x]
+    (I : f)     = (1/f) * (I ∩ (f))
+    (I : J)     = ∩_j (I : g_j)
+    (I : f^∞)   = (I + (1 - t*f)) ∩ k[x]
+
+and ideals are compared by their reduced grevlex bases in sympy.
 """
 
 import random
@@ -10,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from lu.fields import GF, QQ
-from lu.ideals import buchberger
+from lu.ideals import Ideal, buchberger
 from lu.modules import module_groebner
 from lu.orders import DegRevLex, Lex
 from lu.poly import Polynomial, PolyRing
@@ -94,3 +105,128 @@ def test_module_groebner_spans_the_sympy_module(field):
         ours = module_groebner(vecs)
         assert (_oracle(linear + squares, everything, "grevlex", field).exprs
                 == _oracle(encode(ours) + squares, everything, "grevlex", field).exprs)
+
+
+def _gens(exprs):
+    return [e for e in exprs if e != 0]
+
+
+def _reduced(exprs, syms, field):
+    """sympy's reduced grevlex basis; equal lists mean equal ideals."""
+    return list(_oracle(_gens(exprs), syms, "grevlex", field).exprs)
+
+
+def _same_ideal(ours, exprs, syms, field):
+    mine = [_to_expr(g, syms) for g in ours.gens]
+    return _reduced(mine, syms, field) == _reduced(exprs, syms, field)
+
+
+def _eliminated(exprs, drop, syms, field):
+    """Generators of (exprs) ∩ k[syms]: a lex basis with `drop` biggest."""
+    basis = _oracle(_gens(exprs), tuple(drop) + tuple(syms), "lex", field).exprs
+    return [g for g in basis if not (g.free_symbols & set(drop))]
+
+
+def _meet(A, B, syms, field):
+    t = sp.Symbol("t_meet")
+    return _eliminated([t * a for a in A] + [(1 - t) * b for b in B], [t], syms, field)
+
+
+def _quotient(A, f, syms, field):
+    opts = {"modulus": field.p} if field.char else {"domain": sp.QQ}
+    out = []
+    for g in _meet(A, [f], syms, field):
+        q, r = sp.div(g, f, *syms, **opts)
+        assert r == 0
+        out.append(q)
+    return out
+
+
+def _random_ideal(rng, R, f=None):
+    """A few random generators; with `f`, some are multiplied by a power of f
+    or by a variable, so colons and saturations are not trivial."""
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        g = _random_poly(rng, R, rng.randrange(1, 3), 2)
+        if g.is_zero():
+            continue
+        if f is not None and rng.random() < 0.6:
+            g = g * f ** rng.randrange(1, 3)
+        elif rng.random() < 0.4:
+            g = g * R.var(rng.choice(R.names))
+        gens.append(g)
+    return Ideal(R, gens)
+
+
+def _cases(field, tag, count):
+    R = PolyRing(field, ("x", "y", "z"))
+    syms = sp.symbols("x y z")
+    rng = random.Random(f"{field!r}/{tag}")
+    for _ in range(count):
+        f = _random_poly(rng, R, rng.randrange(1, 3), 1)
+        if f.is_zero() or f.constant_value() is not None:
+            f = R.var(rng.choice(R.names))
+        yield R, syms, rng, f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_intersect_matches_the_tag_variable_formula(field):
+    for R, syms, rng, f in _cases(field, "intersect", 8):
+        I, J = _random_ideal(rng, R, f), _random_ideal(rng, R, f)
+        want = _meet([_to_expr(g, syms) for g in I.gens],
+                     [_to_expr(g, syms) for g in J.gens], syms, field)
+        assert _same_ideal(I.intersect(J), want, syms, field), (I, J)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_colon_matches_the_quotient_formula(field):
+    for R, syms, rng, f in _cases(field, "colon", 8):
+        I = _random_ideal(rng, R, f)
+        want = _quotient([_to_expr(g, syms) for g in I.gens], _to_expr(f, syms), syms, field)
+        assert _same_ideal(I.colon(f), want, syms, field), (I, f.text())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_colon_ideal_matches_the_meet_of_quotients(field):
+    for R, syms, rng, f in _cases(field, "colon_ideal", 6):
+        I = _random_ideal(rng, R, f)
+        J = Ideal(R, [f, R.var(rng.choice(R.names))])
+        A = [_to_expr(g, syms) for g in I.gens]
+        want = None
+        for g in J.gens:
+            q = _quotient(A, _to_expr(g, syms), syms, field)
+            want = q if want is None else _meet(want, q, syms, field)
+        assert _same_ideal(I.colon_ideal(J), want, syms, field), (I, J)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_eliminate_matches_a_lex_basis(field):
+    for R, syms, rng, f in _cases(field, "eliminate", 8):
+        I = _random_ideal(rng, R, f)
+        drop = rng.choice([("x",), ("z",), ("x", "y")])
+        dsyms = [s for s in syms if s.name in drop]
+        kept = [s for s in syms if s.name not in drop]
+        got = I.eliminate(drop)
+        assert all(not (g.variables() & set(drop)) for g in got.gens)
+        want = _eliminated([_to_expr(g, syms) for g in I.gens], dsyms, kept, field)
+        assert _same_ideal(got, want, syms, field), (I, drop)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_saturation_matches_the_rabinowitsch_formula(field):
+    """(I : f^∞) and its exponent N, the least n with (I : f^n) = (I : f^(n+1))."""
+    t = sp.Symbol("t_sat")
+    for R, syms, rng, f in _cases(field, "saturation", 6):
+        I = _random_ideal(rng, R, f)
+        A = [_to_expr(g, syms) for g in I.gens]
+        fx = _to_expr(f, syms)
+        J, N = I.saturation(f)
+        want = _eliminated(A + [1 - t * fx], [t], syms, field)
+        assert _same_ideal(J, want, syms, field), (I, f.text())
+        chain = [_reduced(A, syms, field)]
+        while True:
+            n = len(chain)
+            chain.append(_reduced(_quotient(A, fx ** n, syms, field), syms, field))
+            if chain[-1] == chain[-2]:
+                break
+        assert N == len(chain) - 2, (I, f.text())
