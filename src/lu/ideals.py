@@ -2,11 +2,22 @@
 
 The basis engine is plain Buchberger with the sugar selection strategy and
 the two classical pair-dropping criteria, followed by full inter-reduction,
-so a (ring, order) pair determines the basis uniquely.  Everything downstream
-(membership, colon, saturation, elimination, intersection) reduces to it.
-It is the package's only Groebner engine: `lu.modules` encodes submodules
-of R^s as ideals over tag variables under a `PositionOverTerm` order, and
-`buchberger` never pairs two leading terms in different positions.
+so a (ring, order) pair determines the basis uniquely.  It is the package's
+only Groebner engine: `lu.modules` encodes submodules of R^s as ideals over
+tag variables under a `PositionOverTerm` order, and `buchberger` never pairs
+two leading terms in different positions.  The operations on ideals take
+one of three routes to it:
+
+- membership, sums, products and powers use degrevlex bases of the ideals
+  themselves; a product is formed from both factors' reduced bases;
+- colon and intersection are syzygy computations through
+  `lu.modules.relation_module`: (I : f) is the relation module of [f]
+  modulo I, and I ∩ J the image of the relation module of I's reduced basis
+  modulo J; `colon_ideal` meets colons and `saturation` iterates them;
+- elimination takes a basis under an elimination order.
+
+`lu.modules` imports this module when it loads, so the functions here that
+need it import it when they run.
 
 Every computation is metered against the one module-level BUDGET and raises
 ResourceLimit when it runs out.  Bases of ideals and modules alike are served
@@ -20,6 +31,7 @@ bounds the primality and radical memos of `lu.decomp`.
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import LuError, ResourceLimit
 from .orders import degrevlex, elimination_order
@@ -143,27 +155,6 @@ def normal_form(f, basis, order, meter=None):
     return Polynomial(ring, rem)
 
 
-def exact_divide(f, d, order=None):
-    """Quotient f/d when f lies in the principal ideal (d); raises otherwise."""
-    if d.is_zero():
-        raise LuError("division by the zero polynomial")
-    order = order or degrevlex(f.ring.n)
-    ring = f.ring
-    F = ring.field
-    ed, cd = d.leading(order)
-    q = {}
-    p = dict(f.terms)
-    while p:
-        e = max(p, key=order.key)
-        if not mono_divides(ed, e):
-            raise LuError("division is not exact")
-        shift = mono_div(e, ed)
-        scale = F.div(p[e], cd)
-        q[shift] = scale
-        sub_shifted(p, d.terms.items(), shift, scale, F)
-    return Polynomial(ring, q)
-
-
 def s_polynomial(f, g, order):
     (ef, cf) = f.leading(order)
     (eg, cg) = g.leading(order)
@@ -262,15 +253,6 @@ def buchberger(gens, order):
     return inter_reduce(G, order)
 
 
-def _fresh_name(ring, base):
-    if base not in ring.index:
-        return base
-    k = 0
-    while f"{base}{k}" in ring.index:
-        k += 1
-    return f"{base}{k}"
-
-
 class Ideal:
     """A finitely generated ideal with cached reduced bases per order.
 
@@ -325,9 +307,6 @@ class Ideal:
     def contains_ideal(self, other):
         return all(self.contains(g) for g in other.gens)
 
-    def is_zero_ideal(self):
-        return not self.groebner()
-
     def is_unit_ideal(self):
         gb = self.groebner()
         return len(gb) == 1 and gb[0].constant_value() is not None
@@ -352,9 +331,7 @@ class Ideal:
     def multiply(self, other):
         if other.ring != self.ring:
             raise LuError("product of ideals from different rings")
-        if not self.gens or not other.gens:
-            return Ideal(self.ring, [])
-        gens = [a * b for a in self.gens for b in other.gens]
+        gens = [a * b for a in self.groebner() for b in other.groebner()]
         return Ideal(self.ring, groebner_basis(gens, degrevlex(self.ring.n)))
 
     def power(self, k):
@@ -383,29 +360,35 @@ class Ideal:
         return Ideal(small, [g.restrict_to(small) for g in self.eliminate(drop).gens])
 
     def intersect(self, other):
+        """The intersection self ∩ other, by syzygies.
+
+        With G the reduced basis of self, it is the image of
+        relation_module(G, other) under u -> sum u_i*g_i: the combinations
+        of G that land in other.
+        """
+        from .modules import relation_module
+
         if other.ring != self.ring:
             raise LuError("intersection of ideals from different rings")
-        ring = self.ring
-        tname = _fresh_name(ring, "_T")
-        big = ring.extend([tname])
-        t = big.var(tname)
-        gens = [t * g.substitute(big) for g in self.gens]
-        gens += [(big.one() - t) * g.substitute(big) for g in other.gens]
-        inner = Ideal(big, gens).eliminate([tname])
-        return Ideal(ring, [g.restrict_to(ring) for g in inner.gens])
+        gb = self.groebner()
+        rows = relation_module(gb, other)
+        return Ideal(self.ring, [sum(map(mul, u, gb), self.ring.zero()) for u in rows])
 
     def colon(self, f):
-        """The transporter (self : f) for a single polynomial f."""
+        """The transporter (self : f) for a single polynomial f, by syzygies.
+
+        It is spanned by the rows of relation_module([f], self): every u
+        with u*f in self.
+        """
+        from .modules import relation_module
+
         if not isinstance(f, Polynomial):
             f = self.ring.const(f)
-        if f.is_zero():
+        if self.contains(f):
             return Ideal(self.ring, [self.ring.one()])
         if f.constant_value() is not None:
             return self
-        if self.contains(f):
-            return Ideal(self.ring, [self.ring.one()])
-        meet = self.intersect(Ideal(self.ring, [f]))
-        return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens])
+        return Ideal(self.ring, [u for (u,) in relation_module([f], self)])
 
     def colon_ideal(self, other):
         """(self : other) for an ideal, as the meet of the generator transporters."""

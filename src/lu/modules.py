@@ -6,7 +6,8 @@ one tag variable e_k per position and hands it to `ideals.groebner_basis`,
 so modules share the ideal engine and its memo.  The order is position over
 term with position 0 strongest, which is what makes first-component
 elimination work: basis elements whose first entry is zero generate exactly
-the relations that land in the allowed modulus.
+the relations that land in the allowed modulus.  `relation_module` is also
+the route `Ideal.colon` and `Ideal.intersect` take.
 """
 
 from .errors import LuError
@@ -68,9 +69,9 @@ def relation_module(gens, modulus):
     return out
 
 
-def reduce_entries(vec, ideal, order=None):
+def reduce_entries(vec, ideal):
     """Normal form of every entry against an ideal."""
-    return tuple(ideal.normal_form(c, order) for c in vec)
+    return tuple(ideal.normal_form(c) for c in vec)
 
 
 def determinant(rows):

@@ -1,5 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import lu
 from lu.ideals import Ideal
 from lu.modules import (
     determinant,
@@ -165,3 +172,14 @@ def test_module_basis_ignores_presentation(uvxy):
     modulus = ideal(uvxy, "x^2", "x*y - 1/2*u", "y^2")
     again = Ideal(uvxy, list(modulus.gens[::-1]) + [sum(modulus.gens, uvxy.zero())])
     assert relation_module(gens, again) == relation_module(gens, modulus)
+
+
+@pytest.mark.parametrize("module", ["lu.ideals", "lu.modules"])
+def test_imports_in_a_fresh_interpreter(module):
+    """`lu.modules` imports `lu.ideals` at load time, so `lu.ideals` may reach
+    `lu.modules` only from inside a function; a top-level import back would
+    fail here whichever module is imported first."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lu.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
