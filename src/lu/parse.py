@@ -11,7 +11,8 @@ Grammar (whitespace ignored, positions are byte offsets into the input):
 Numerals are unsigned; minus is only the binary or leading unary operator.
 '/' exists solely inside rational literals, matching how coefficients are
 printed, so every text() output parses back.  NAME must be a variable of
-the ambient ring.
+the ambient ring.  Parentheses nest at most MAX_DEPTH deep, so the
+recursive descent stays far below the interpreter's recursion limit.
 """
 
 import re
@@ -19,6 +20,8 @@ from fractions import Fraction
 
 from .errors import ExponentOverflow, PolySyntaxError, UnknownVariable
 from .poly import EXP_CAP
+
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -44,6 +47,7 @@ class _Parser:
         self.ring = ring
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -112,7 +116,11 @@ class _Parser:
                 raise UnknownVariable(f"unknown variable {val!r}", pos)
             return self.ring.var(val)
         if kind == "op" and val == "(":
+            if self.depth == MAX_DEPTH:
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, val, pos = self.take()
             if not (kind == "op" and val == ")"):
                 raise PolySyntaxError("expected ')'", pos)

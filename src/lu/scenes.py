@@ -25,12 +25,17 @@ from .valuations import WeightValuation
 _FIXTURE = re.compile(r"^F[1-9][0-9]*$")
 
 
+def _is_int(v):
+    """JSON integers only: `true` and `false` are bools, which Python counts as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _field(spec):
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         p = spec["Fp"]
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise SceneError("Fp wants an integer prime")
         return GF(p)
     raise SceneError(f"unknown field {spec!r}; use \"Q\" or {{\"Fp\": p}}")
@@ -64,7 +69,7 @@ def scene_from_dict(d):
         if key not in val:
             raise SceneError(f"valuation is missing {key!r}")
     rank = val["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise SceneError("rank wants a positive integer")
     support = defining + Ideal(ring, parse_many(ring, _str_list(val, "support")))
     weights = val["weights"]
@@ -77,7 +82,7 @@ def scene_from_dict(d):
         if (
             not isinstance(col, list)
             or len(col) != rank
-            or not all(isinstance(c, int) for c in col)
+            or not all(_is_int(c) for c in col)
         ):
             raise SceneError(f"weight vector for {nm!r} wants {rank} integers")
         cols[nm] = tuple(col)

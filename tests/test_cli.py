@@ -50,6 +50,12 @@ def test_run_uniformizes_and_writes_a_trace(tmp_path, capsys):
     assert [s["label"] for s in data["steps"]] == ["ass-prime"]
 
 
+def test_deeply_nested_ideal_exits_1(tmp_path, capsys):
+    scene = _cusp_file(tmp_path, ideal="(" * 2000 + "y^2 - x^3" + ")" * 2000)
+    assert main(["check", scene]) == 1
+    assert "nested deeper" in capsys.readouterr().err
+
+
 def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", _cusp_file(tmp_path)]) == 0
     assert main(["run", "F2", "--budget", "0"]) == 3

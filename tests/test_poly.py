@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lu.errors import ExponentOverflow, LuError, PolySyntaxError, UnknownVariable
 from lu.fields import GF, QQ
-from lu.parse import parse_many, parse_poly
+from lu.parse import MAX_DEPTH, parse_many, parse_poly
 from lu.poly import PolyRing
 
 from conftest import ring
@@ -100,6 +100,16 @@ def test_parse_errors_carry_positions(xy):
         parse_poly(xy, "x + z")
     with pytest.raises(PolySyntaxError):
         parse_poly(xy, "x + (y")
+
+
+def test_parse_caps_parenthesis_depth(xy):
+    deep = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_poly(xy, deep).text() == "x"
+    with pytest.raises(PolySyntaxError) as e:
+        parse_poly(xy, "(" + deep + ")")
+    assert e.value.pos == MAX_DEPTH
+    with pytest.raises(PolySyntaxError):
+        parse_poly(xy, "(" * 2000 + "x" + ")" * 2000)
 
 
 def test_parse_many_positions(xy):
