@@ -112,7 +112,7 @@ def load_scene(source):
             raise SceneError(f"cannot read scene: {e}") from None
     try:
         data = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise SceneError(f"scene is not valid JSON: {e}") from None
     return scene_from_dict(data)
 

@@ -56,6 +56,13 @@ def test_deeply_nested_ideal_exits_1(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(deep)]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", _cusp_file(tmp_path)]) == 0
     assert main(["run", "F2", "--budget", "0"]) == 3

@@ -62,10 +62,12 @@ def test_scene_weights_default_to_zero():
         (lambda d: d.update(field={"Fp": "5"}), "integer prime"),
         (lambda d: d.update(vars=["x", "x"]), "distinct"),
         (lambda d: d["valuation"].update(rank=0), "positive integer"),
-        (lambda d: d["valuation"].update(rank=True), "positive integer"),
-        (lambda d: d.update(field={"Fp": True}), "integer prime"),
+        pytest.param(lambda d: d["valuation"].update(rank=True), "positive integer",
+                     id="bool-rank"),
+        pytest.param(lambda d: d.update(field={"Fp": True}), "integer prime", id="bool-prime"),
         (lambda d: d["valuation"]["weights"].update(x=[2, 1]), "wants 1 integers"),
-        (lambda d: d["valuation"]["weights"].update(x=[True]), "wants 1 integers"),
+        pytest.param(lambda d: d["valuation"]["weights"].update(x=[True]), "wants 1 integers",
+                     id="bool-weight"),
         (lambda d: d["valuation"]["weights"].update(z=[1]), "unknown variable"),
         (lambda d: d["valuation"].pop("support"), "missing"),
         (lambda d: d.update(ideal="y^2 - x^3"), "list of strings"),
