@@ -2,13 +2,14 @@
 
 Every command takes a scene: a JSON file path or a packaged fixture name
 (F1..F4).  Exit codes: 0 success or Uniformized, 1 input or certification
-error, 2 unsupported instance or Unsupported verdict, 3 budget exceeded.
+error, 2 unsupported instance or Unsupported verdict, 3 budget exceeded (a
+BudgetExceeded verdict, or a basis computation out of its ResourceLimit).
 """
 
 import argparse
 import sys
 
-from .errors import LuError, UnsupportedInstance
+from .errors import LuError, ResourceLimit, UnsupportedInstance
 from .localring import is_normally_flat, is_regular_local, nilpotent_length
 from .pipeline import (
     BUDGET_EXCEEDED,
@@ -166,6 +167,9 @@ def main(argv=None):
     except UnsupportedInstance as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 2
+    except ResourceLimit as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
     except (LuError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

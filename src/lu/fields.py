@@ -1,8 +1,16 @@
 """Coefficient fields: the rationals and prime fields of word-sized order.
 
-Elements are plain Python values (Fraction for characteristic zero, int in
-[0, p) for characteristic p), so polynomials stay hashable and comparable
-for free.  The field object only carries the operations.
+Elements are plain Python values, so polynomials stay hashable and
+comparable for free; the field object only carries the operations.  In
+characteristic p an element is an int in [0, p).  A rational is an int when
+it is integral and a Fraction otherwise, and every operation of `Rationals`
+returns that normal form: most coefficients are small integers, and int
+arithmetic is many times cheaper than Fraction arithmetic.  An integral
+value prints, hashes and compares the same either way (str(3) ==
+str(Fraction(3)), hash(3) == hash(Fraction(3))), so polynomials, memo keys
+and printed output do not depend on the representation.  Division of two
+ints goes through divmod and builds a Fraction only on a remainder, never
+through `/`, so no float appears.
 """
 
 from fractions import Fraction
@@ -34,39 +42,45 @@ def _is_prime_u31(p):
     return True
 
 
+def _canonical(s):
+    """The int for an integral value, the Fraction otherwise."""
+    return s if s.__class__ is int or s.denominator != 1 else s.numerator
+
+
 class Rationals:
-    """The field of rational numbers; elements are fractions.Fraction."""
+    """The field of rational numbers; elements are int when integral, else Fraction."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _canonical(x)
         raise LuError(f"cannot coerce {x!r} into the rationals")
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            return _canonical(a / b)
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
 
     def sign_abs(self, a):
         """Split into (sign, magnitude) for printing."""

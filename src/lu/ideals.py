@@ -29,6 +29,7 @@ bounds the primality and radical memos of `lu.decomp`.
 """
 
 import heapq
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import mul
@@ -43,7 +44,6 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    sub_shifted,
 )
 
 
@@ -122,14 +122,20 @@ class _Meter:
 def normal_form(f, basis, order, meter=None):
     """Remainder of f under full division by basis (head and tail reduction).
 
-    Reducer choice is the first basis element whose leading term divides, so
-    the result is deterministic for a fixed basis tuple; for a Groebner basis
-    it does not depend on the choice at all.
+    Monomials are processed biggest first; the reducer is the first basis
+    element whose leading term divides, so the result is deterministic for a
+    fixed basis tuple; for a Groebner basis it does not depend on the choice
+    at all.  Each monomial's order key is computed once: the monomials still
+    to process sit in a list of (key, exponents) sorted biggest last, a
+    monomial new to the remainder is inserted in place, and an entry whose
+    term has cancelled since is skipped when it comes up.
     """
     if f.is_zero() or not basis:
         return f
     ring = f.ring
     F = ring.field
+    zero = F.zero
+    key = order.key
     lts = []
     for g in basis:
         eg, cg = g.leading(order)
@@ -137,9 +143,12 @@ def normal_form(f, basis, order, meter=None):
         lts.append((eg, cg, tail, len(g.terms)))
     rem = {}
     p = dict(f.terms)
-    while p:
-        e = max(p, key=order.key)
-        c = p.pop(e)
+    todo = sorted((key(e), e) for e in p)
+    while todo:
+        e = todo.pop()[1]
+        c = p.pop(e, None)
+        if c is None:
+            continue  # cancelled after it was queued
         hit = None
         for lt in lts:
             if mono_divides(lt[0], e):
@@ -151,7 +160,21 @@ def normal_form(f, basis, order, meter=None):
         eg, cg, tail, size = hit
         if meter:
             meter.charge(size)
-        sub_shifted(p, tail, mono_div(e, eg), F.div(c, cg), F)
+        # p -= (c/cg) * x^(e - eg) * tail
+        shift = mono_div(e, eg)
+        scale = F.neg(F.div(c, cg))
+        for e2, c2 in tail:
+            e3 = mono_mul(e2, shift)
+            old = p.get(e3)
+            if old is None:
+                p[e3] = F.mul(c2, scale)
+                insort(todo, (key(e3), e3))
+                continue
+            s = F.add(old, F.mul(c2, scale))
+            if s == zero:
+                del p[e3]
+            else:
+                p[e3] = s
     return Polynomial(ring, rem)
 
 

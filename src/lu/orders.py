@@ -58,7 +58,7 @@ class WeightRefined:
         return self.tie.arity
 
     def key(self, e):
-        return (tuple(sum(map(mul, r, e)) for r in self.rows), self.tie.key(e))
+        return (tuple([sum(map(mul, r, e)) for r in self.rows]), self.tie.key(e))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .errors import (
     CertificationError,
     IsomorphismCheckFailed,
     LuError,
+    ResourceLimit,
     UnsupportedInstance,
 )
 from .ideals import Ideal
@@ -494,20 +495,22 @@ def run_reduction(L, nu, oracle=None, budget=32):
     """Drive the full reduction; never raises except for isomorphism failures.
 
     Returns a ReductionTrace whose verdict is Uniformized, Unsupported (with
-    the refusing reason), or BudgetExceeded.
+    the refusing reason), or BudgetExceeded: more than `budget` blowups, or
+    a basis computation that ran out of `ideals.BUDGET` (the reason says
+    which).
     """
     steps = []
     pool = _Budget(budget)
     try:
         L2, nu2 = _reduce(L, nu, oracle, pool, steps)
         return ReductionTrace(steps, UNIFORMIZED, "", L2, nu2)
-    except _BudgetExhausted:
-        cur = steps[-1].blowup.chart if steps else L
-        return ReductionTrace(
-            steps, BUDGET_EXCEEDED, f"more than {budget} blowups", cur, nu
-        )
     except IsomorphismCheckFailed:
         raise
+    except _BudgetExhausted:
+        verdict, reason = BUDGET_EXCEEDED, f"more than {budget} blowups"
+    except ResourceLimit as e:
+        verdict, reason = BUDGET_EXCEEDED, str(e)
     except LuError as e:
-        cur = steps[-1].blowup.chart if steps else L
-        return ReductionTrace(steps, UNSUPPORTED, str(e), cur, nu)
+        verdict, reason = UNSUPPORTED, str(e)
+    cur = steps[-1].blowup.chart if steps else L
+    return ReductionTrace(steps, verdict, reason, cur, nu)

@@ -39,21 +39,6 @@ def mono_deg(a):
     return sum(a)
 
 
-def sub_shifted(t, terms, shift, scale, F):
-    """t -= scale * x^shift * (the (exponent, coefficient) pairs), in place.
-
-    Entries that cancel are removed from the term dictionary t.
-    """
-    zero = F.zero
-    for e, c in terms:
-        e3 = mono_mul(e, shift)
-        s = F.sub(t.get(e3, zero), F.mul(c, scale))
-        if s == zero:
-            t.pop(e3, None)
-        else:
-            t[e3] = s
-
-
 class PolyRing:
     """Polynomial ring over a fixed field with an ordered tuple of named variables."""
 

@@ -12,6 +12,7 @@ refuses anything else rather than returning values that may undershoot.
 """
 
 import random
+from operator import mul
 
 from .decomp import NOT_PRIME, is_prime, minimal_primes
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .ideals import Ideal
 from .orders import weight_order
+from .poly import Polynomial
 
 
 class Value:
@@ -135,7 +137,7 @@ class WeightValuation:
         return tuple(r[i] for r in self.rows)
 
     def weight_of_exps(self, e):
-        return tuple(sum(r[i] * e[i] for i in range(len(e))) for r in self.rows)
+        return tuple(sum(map(mul, r, e)) for r in self.rows)
 
     def value_of(self, f):
         nf = self.support.normal_form(f, self._order)
@@ -249,17 +251,27 @@ def decompose(nu, r=1):
 
 
 def sample_polynomials(ring, rng, max_deg=4, max_terms=4):
-    """One nonzero polynomial with small random support; deterministic per rng."""
+    """One nonzero polynomial with small random support; deterministic per rng.
+
+    Each of up to max_terms terms gets up to max_deg variable factors and a
+    coefficient in [-3, 3]; terms that land on one monomial are summed.
+    """
+    F = ring.field
+    n = ring.n
     while True:
-        acc = ring.zero()
+        t = {}
         for _ in range(rng.randint(1, max_terms)):
-            e = [0] * ring.n
+            e = [0] * n
             for _ in range(rng.randint(0, max_deg)):
-                e[rng.randrange(ring.n)] += 1
-            c = rng.randint(-3, 3)
-            acc = acc + ring.monomial(tuple(e), c)
-        if not acc.is_zero():
-            return acc
+                e[rng.randrange(n)] += 1
+            e = tuple(e)
+            s = F.add(t.get(e, F.zero), F.coerce(rng.randint(-3, 3)))
+            if s == F.zero:
+                t.pop(e, None)
+            else:
+                t[e] = s
+        if t:
+            return Polynomial(ring, t)
 
 
 def axiom_violations(nu, count=200, seed=0xC0FFEE):

@@ -2,9 +2,13 @@
 
 import json
 
+import pytest
+
 import lu.scenes
+from lu import ideals
 from lu.cli import main
 from lu.errors import LuError
+from lu.ideals import Limits, Memo
 
 
 def _cusp_file(tmp_path, field="Q", ideal="y^2 - x^3"):
@@ -87,6 +91,17 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     out = capsys.readouterr().out
     assert "verdict: Unsupported" in out
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_resource_limit_exits_3(monkeypatch, capsys, command):
+    # an empty memo, so the bases are computed under the small budget
+    monkeypatch.setattr(ideals, "_BASES", Memo())
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
+    assert main([command, "F2"]) == 3
+    out, err = capsys.readouterr()
+    assert "exceeded 2 reductions" in out + err
+    assert "unsupported" not in (out + err).lower()
 
 
 def test_blowup_and_lemma_check(capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lu.errors import LuError
 from lu.fields import GF, QQ
@@ -18,6 +19,52 @@ def test_rationals_coerce_ints_and_strings_reject_floats():
     assert QQ.coerce(7) == Fraction(7)
     with pytest.raises(LuError):
         QQ.coerce(0.5)
+
+
+# small, big, negative and zero ints; fractions, integral ones included
+_INTS = st.one_of(st.integers(-5, 5), st.integers(-(2**200), 2**200))
+_RATIONALS = st.one_of(_INTS, st.fractions(), st.builds(Fraction, _INTS))
+
+
+def _in_normal_form(got, want):
+    """got equals the Fraction want, as an int exactly when it is integral."""
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_rationals_agree_with_fractions_in_normal_form(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    _in_normal_form(QQ.coerce(a), fa)
+    _in_normal_form(QQ.add(a, b), fa + fb)
+    _in_normal_form(QQ.sub(a, b), fa - fb)
+    _in_normal_form(QQ.mul(a, b), fa * fb)
+    _in_normal_form(QQ.neg(a), -fa)
+    if fb:
+        _in_normal_form(QQ.div(a, b), fa / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    if fa:
+        _in_normal_form(QQ.inv(a), 1 / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(a)
+
+
+def test_rationals_normal_form_examples():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(Fraction(6, 3)) == 2
+    assert type(QQ.coerce(True)) is int and QQ.coerce(True) == 1
+    assert QQ.div(7, 2) == Fraction(7, 2) and QQ.div(-6, 3) == -2
+    assert type(QQ.mul(Fraction(1, 2), 2)) is int
+    for a in (0, 5, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
 
 
 def test_gf_arithmetic():

@@ -2,8 +2,11 @@
 
 from conftest import scene
 
+from lu import ideals
 from lu.errors import UnsupportedInstance
+from lu.ideals import Limits, Memo
 from lu.pipeline import run_reduction, step1, step2, step3, toric_uniformizer
+from lu.scenes import load_scene
 
 
 def _fat_axis():
@@ -133,6 +136,18 @@ def test_run_reduction_respects_the_budget():
     trace = run_reduction(*_fat_cone(), budget=0)
     assert trace.verdict == "BudgetExceeded"
     assert trace.reason == "more than 0 blowups"
+    assert trace.steps == []
+
+
+def test_run_reduction_reports_a_resource_limit_as_budget_exceeded(monkeypatch):
+    """Running out of the basis budget is not a refusal of the instance."""
+    L, nu = load_scene("F2")
+    # an empty memo, so the bases are computed under the small budget
+    monkeypatch.setattr(ideals, "_BASES", Memo())
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
+    trace = run_reduction(L, nu)
+    assert trace.verdict == "BudgetExceeded"
+    assert trace.reason == "basis computation exceeded 2 reductions"
     assert trace.steps == []
 
 

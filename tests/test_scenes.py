@@ -1,6 +1,7 @@
 """Scene loading, trace serialization, and replay."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -153,7 +154,8 @@ def test_replay_catches_tampering():
     assert any(p.startswith("final") for p in problems)
 
 
-GOLDEN_SHA256 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "sha256.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN_SHA256 = BENCH / "golden" / "sha256.json"
 
 
 @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4"])
@@ -162,6 +164,29 @@ def test_fixture_traces_match_the_golden_sha256(name):
     golden = json.loads(GOLDEN_SHA256.read_text())
     text = trace_to_json(run_reduction(*load_scene(name)))
     assert hashlib.sha256(text.encode()).hexdigest() == golden[name]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_golden_trace_matches_its_sha256():
+    """All recorded hashes: F1-F4 and every scene a benchmark seed can draw."""
+    golden = json.loads(GOLDEN_SHA256.read_text())
+    runs = {name: (name, 32) for name in ("F1", "F2", "F3", "F4")}
+    runs.update((op["key"], (op["scene"], op["budget"]))
+                for op in _bench_workloads().universe())
+    assert sorted(runs) == sorted(golden)
+    wrong = []
+    for key, (source, budget) in runs.items():
+        text = trace_to_json(run_reduction(*load_scene(source), budget=budget))
+        if hashlib.sha256(text.encode()).hexdigest() != golden[key]:
+            wrong.append(key)
+    assert wrong == []
 
 
 def test_only_refusals_become_null_facts(monkeypatch):

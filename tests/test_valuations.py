@@ -11,6 +11,8 @@ from lu.errors import (
     NotMinimalPrime,
     UnsupportedInstance,
 )
+from lu.fields import GF, QQ
+from lu.poly import PolyRing
 from lu.valuations import (
     Value,
     axiom_violations,
@@ -222,3 +224,27 @@ def test_truncation_commutes_with_the_split():
     for _ in range(40):
         f = sample_polynomials(nu.ring, rng)
         assert first.value_of(f) == nu.value_of(f).truncate(1)
+
+
+def _reference_sample(ring, rng, max_deg=4, max_terms=4):
+    """sample_polynomials as first written: one ring.monomial per term, summed with +."""
+    while True:
+        acc = ring.zero()
+        for _ in range(rng.randint(1, max_terms)):
+            e = [0] * ring.n
+            for _ in range(rng.randint(0, max_deg)):
+                e[rng.randrange(ring.n)] += 1
+            c = rng.randint(-3, 3)
+            acc = acc + ring.monomial(tuple(e), c)
+        if not acc.is_zero():
+            return acc
+
+
+def test_sampler_draws_what_the_reference_draws():
+    """Same polynomials, and the generator left in the same state."""
+    for field in (QQ, GF(7)):
+        R = PolyRing(field, ["x", "y", "z"])
+        fast, slow = random.Random(5), random.Random(5)
+        for _ in range(20000):
+            assert sample_polynomials(R, fast) == _reference_sample(R, slow)
+        assert fast.getstate() == slow.getstate()
