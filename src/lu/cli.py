@@ -3,7 +3,8 @@
 Every command takes a scene: a JSON file path or a packaged fixture name
 (F1..F4).  Exit codes: 0 success or Uniformized, 1 input or certification
 error, 2 unsupported instance or Unsupported verdict, 3 budget exceeded (a
-BudgetExceeded verdict, or a basis computation out of its ResourceLimit).
+BudgetExceeded verdict, or a ResourceLimit: a basis computation out of its
+budget, or a step command out of blowups in the pool).
 """
 
 import argparse
@@ -12,9 +13,9 @@ import sys
 from .errors import LuError, ResourceLimit, UnsupportedInstance
 from .localring import is_normally_flat, is_regular_local, nilpotent_length
 from .pipeline import (
+    BLOWUP_POOL,
     BUDGET_EXCEEDED,
     UNIFORMIZED,
-    UNSUPPORTED,
     run_reduction,
     step1,
     step2,
@@ -22,9 +23,9 @@ from .pipeline import (
     toric_uniformizer,
 )
 from .parse import parse_poly
-from .scenes import load_scene, trace_to_json, write_trace
+from .scenes import load_scene, write_trace
 from .blowup import local_blowup, transport_through_blowup, verify_center_isos
-from .valuations import axiom_violations, certify, support_class
+from .valuations import axiom_violations, certify
 
 _ORACLES = {"toric": toric_uniformizer}
 
@@ -107,8 +108,8 @@ def _cmd_run(args):
     oracle = _ORACLES[args.oracle]
     trace = run_reduction(L, nu, oracle=oracle, budget=args.budget)
     _print_steps(trace.steps)
-    _print_state(trace.final_ring)
     print(f"verdict: {trace.verdict}" + (f" ({trace.reason})" if trace.reason else ""))
+    _print_state(trace.final_ring)
     if args.trace:
         write_trace(trace, args.trace)
         print(f"trace written: {args.trace}")
@@ -154,7 +155,7 @@ def _parser():
 
     sp = scene_cmd("run", _cmd_run, "run the full reduction")
     sp.add_argument("--oracle", choices=sorted(_ORACLES), default="toric")
-    sp.add_argument("--budget", type=int, default=32)
+    sp.add_argument("--budget", type=int, default=BLOWUP_POOL)
     sp.add_argument("--trace", help="write the trace JSON here")
 
     return p

@@ -64,10 +64,6 @@ def _pure_difference(g):
     return None
 
 
-def _mono(ring, e, c=1):
-    return ring.monomial(e, c)
-
-
 def _graph_class(I):
     """Sections x_i = f_i(other variables): quotient is a polynomial ring."""
     gb = I.canonical_gb()
@@ -110,7 +106,7 @@ def _monomial_witness(I, gb):
         a[i] = 1
         b = list(e)
         b[i] -= 1
-        ga, gb_ = _mono(I.ring, tuple(a)), _mono(I.ring, tuple(b))
+        ga, gb_ = I.ring.monomial(a), I.ring.monomial(b)
         if _verify_witness(I, ga, gb_):
             return Primality(NOT_PRIME, (ga, gb_))
     return None
@@ -141,7 +137,7 @@ def _binomial_class(I, gb):
         ra = tuple(a[ring.index[nm]] for nm in sub.names)
         rb = tuple(b[ring.index[nm]] for nm in sub.names)
         rows.append(tuple(x - y for x, y in zip(ra, rb)))
-        sub_binoms.append(_mono(sub, ra) - _mono(sub, rb))
+        sub_binoms.append(sub.monomial(ra) - sub.monomial(rb))
     B = Ideal(sub, sub_binoms)
     prod_vars = sub.one()
     for v in sub.gens():
@@ -163,11 +159,11 @@ def _binomial_class(I, gb):
     u, k = defect
     up = tuple(max(x, 0) for x in u)
     um = tuple(max(-x, 0) for x in u)
-    g = _mono(sub, up) - _mono(sub, um)
+    g = sub.monomial(up) - sub.monomial(um)
     h = sub.zero()
     for j in range(k):
         e = tuple(j * p + (k - 1 - j) * m for p, m in zip(up, um))
-        h = h + _mono(sub, e)
+        h = h + sub.monomial(e)
     w1, w2 = g.substitute(ring), h.substitute(ring)
     if _verify_witness(I, w1, w2):
         return Primality(NOT_PRIME, (w1, w2))
@@ -208,28 +204,19 @@ def _principal_univariate(I, gb):
     quot, rem = unifactor.divmod_poly(coeffs, factor)
     if rem:
         return Primality(UNKNOWN, reason="factor did not divide")
-    w1 = _dense_to_poly(I.ring, idx, factor)
-    w2 = _dense_to_poly(I.ring, idx, quot)
+    ell = I.ring.var(I.ring.names[idx])
+    w1 = _subst_dense(ell, factor)
+    w2 = _subst_dense(ell, quot)
     if _verify_witness(I, w1, w2):
         return Primality(NOT_PRIME, (w1, w2))
     return Primality(UNKNOWN, reason="univariate witness failed verification")
 
 
-def _dense_to_poly(ring, idx, coeffs):
-    acc = ring.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * ring.n
-            e[idx] = k
-            acc = acc + ring.monomial(tuple(e), c)
-    return acc
-
-
 def standard_monomials(I, cap=4096):
     """Monomials outside the initial ideal, or None when there are infinitely many."""
-    gb = I.groebner()
-    if len(gb) == 1 and gb[0].constant_value() is not None:
+    if I.is_unit_ideal():
         return []
+    gb = I.groebner()
     order = degrevlex(I.ring.n)
     lts = [g.leading(order)[0] for g in gb]
     n = I.ring.n
@@ -365,9 +352,9 @@ def is_prime(I):
 
 
 def _is_prime_uncached(I):
-    gb = I.groebner()
-    if len(gb) == 1 and gb[0].constant_value() is not None:
+    if I.is_unit_ideal():
         return Primality(NOT_PRIME, reason="unit ideal")
+    gb = I.groebner()
     if not gb:
         return Primality(PRIME)
     if _is_variable_gb(gb):
@@ -414,16 +401,16 @@ def _radical_uncached(I):
     ring = I.ring
     J = I
     for _ in range(ring.n + 3):
-        gb = J.groebner()
-        if len(gb) == 1 and gb[0].constant_value() is not None:
+        if J.is_unit_ideal():
             return J
+        gb = J.groebner()
         adds = []
         for g in gb:
             if len(g.terms) == 1:
                 e = next(iter(g.terms))
                 sq = tuple(min(x, 1) for x in e)
                 if sq != e:
-                    adds.append(_mono(ring, sq))
+                    adds.append(ring.monomial(sq))
                 continue
             pd = _pure_difference(g)
             if pd:
@@ -431,10 +418,10 @@ def _radical_uncached(I):
                 c = mono_gcd(a, b)
                 if any(x > 1 for x in c):
                     csq = tuple(min(x, 1) for x in c)
-                    rest = _mono(ring, tuple(x - y for x, y in zip(a, c))) - _mono(
-                        ring, tuple(x - y for x, y in zip(b, c))
-                    )
-                    adds.append(_mono(ring, csq) * rest)
+                    ra = tuple(x - y for x, y in zip(a, c))
+                    rb = tuple(x - y for x, y in zip(b, c))
+                    rest = ring.monomial(ra) - ring.monomial(rb)
+                    adds.append(ring.monomial(csq) * rest)
         if ring.field.char == 0:
             std = None
             try:
@@ -446,7 +433,7 @@ def _radical_uncached(I):
                     mp = minimal_polynomial(J, ring.var(nm), len(std))
                     sf = unifactor.squarefree_part(mp)
                     if len(sf) < len(mp):
-                        adds.append(_dense_to_poly(ring, ring.index[nm], sf))
+                        adds.append(_subst_dense(ring.var(nm), sf))
         adds = [a for a in adds if not J.contains(a)]
         if not adds:
             return _certify_radical(J)
@@ -546,7 +533,7 @@ def _monomial_associated_primes(I):
     ring = I.ring
     out = {}
     for e in product(*[range(x + 1) for x in lcm]):
-        c = _mono(ring, e)
+        c = ring.monomial(e)
         Q = I.colon(c)
         if Q.is_unit_ideal():
             continue
@@ -638,9 +625,9 @@ def krull_dimension(I):
     ring = I.ring
     if ring.n > 16:
         raise UnsupportedInstance("dimension enumeration capped at 16 variables")
-    gb = I.groebner()
-    if len(gb) == 1 and gb[0].constant_value() is not None:
+    if I.is_unit_ideal():
         return -1
+    gb = I.groebner()
     order = degrevlex(ring.n)
     supports = [
         frozenset(i for i, x in enumerate(g.leading(order)[0]) if x) for g in gb

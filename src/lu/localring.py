@@ -61,8 +61,8 @@ class LocalRing:
         return list(self.center.canonical_gb())
 
 
-def cotangent_presentation(L, prime=None):
-    """Generators and relation rows of center/(center^2 + defining) at a prime."""
+def cotangent_presentation(L):
+    """Generators and relation rows of center/(center^2 + defining)."""
     gens = L.center_basis()
     modulus = L.center.power(2) + L.defining
     rels = relation_module(gens, modulus)

@@ -9,9 +9,15 @@ oracle after step one; higher rank splits off the first value row, uniformizes
 the localized and quotient data recursively, and lifts each blowup back.
 Nothing is trusted across a lift: the lifted chart re-runs the full
 certificate chain before it is accepted.
+
+The run's pool of blowups (BLOWUP_POOL unless the caller says otherwise) is
+the only bound on these loops: every round that does not exit blows up once
+and spends from the pool, and a sub-run draws on a clone of what is left.
+An empty pool raises ResourceLimit, which run_reduction reports as
+BudgetExceeded.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .decomp import associated_primes, is_prime
 from .errors import (
@@ -31,14 +37,16 @@ from .localring import (
     is_regular_local,
     nilpotent_length,
 )
-from .modules import rank_mod_prime
+from .modules import rank_mod_prime, relation_module
 from .blowup import (
     lift_from_localization,
     lift_from_quotient,
     local_blowup,
     transport_through_blowup,
 )
-from .valuations import certify, center_ideal, decompose
+from .valuations import certify, decompose
+
+BLOWUP_POOL = 32
 
 UNIFORMIZED = "Uniformized"
 UNSUPPORTED = "Unsupported"
@@ -63,26 +71,25 @@ class ReductionTrace:
     final_nu: object
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Budget:
-    __slots__ = ("left",)
+    """Blowups left in the run's pool, and the pool's size for the message."""
 
-    def __init__(self, left):
+    __slots__ = ("left", "total")
+
+    def __init__(self, left, total=None):
         self.left = left
+        self.total = left if total is None else total
 
     def spend(self):
         if self.left <= 0:
-            raise _BudgetExhausted()
+            raise ResourceLimit(f"more than {self.total} blowups")
         self.left -= 1
 
     def clone(self):
-        return _Budget(self.left)
+        return _Budget(self.left, self.total)
 
 
-def _apply(L, nu, B, label, report, budget, steps):
+def _apply(nu, B, label, report, budget, steps):
     budget.spend()
     nu2 = transport_through_blowup(nu, B)
     certify(nu2, B.chart.defining, B.chart.center)
@@ -106,7 +113,7 @@ def step1(L, nu, budget=None, steps=None):
     divides by its generator of least value, and demands a strict drop of
     the count after every blowup.
     """
-    budget = budget or _Budget(32)
+    budget = budget or _Budget(BLOWUP_POOL)
     steps = [] if steps is None else steps
     while True:
         ass, off_center = _local_associated(L)
@@ -140,12 +147,12 @@ def step1(L, nu, budget=None, steps=None):
                 f"count went from {before} to {after} across the blowup",
             )
         L, nu = _apply(
-            L, nu, B, "ass-prime",
+            nu, B, "ass-prime",
             {"ass_before": before, "ass_after": after}, budget, steps,
         )
 
 
-def _select_basis(ring, gens, rows, prime, nu=None):
+def _select_basis(ring, gens, rows, prime, nu):
     """Smallest generator subset whose classes span the cokernel at a prime.
 
     Generators are tried in ascending value order (then input order), so a
@@ -153,9 +160,7 @@ def _select_basis(ring, gens, rows, prime, nu=None):
     residue field by adjoining unit rows.
     """
     s = len(gens)
-    order = list(range(s))
-    if nu is not None:
-        order.sort(key=lambda i: (nu.value_of(gens[i]), i))
+    order = sorted(range(s), key=lambda i: (nu.value_of(gens[i]), i))
     aug = [list(r) for r in rows]
     rank = rank_mod_prime(aug, prime) if aug else 0
     chosen = []
@@ -192,50 +197,63 @@ def _absorption(L, p1, basis, modulus, g):
     return "blowup", cands[0]
 
 
-def _trim_probe(L, nu):
-    """Parameters at the split center and the extras still obstructing them."""
-    nu1, _ = decompose(nu, 1)
-    p1 = center_ideal(nu1)
-    nil = L.nilradical()
-    red_at_p = LocalRing(L.ring, nil, p1, check=False)
+def _split_center(nu):
+    """The split center p1: the support plus every variable of positive
+    first value, the center of the first value row."""
+    return decompose(nu, 1)[1].support
+
+
+def _regular_at(L, p1, check):
+    """The reduced ring localized at p1 and its regularity, which must hold."""
+    red_at_p = LocalRing(L.ring, L.nilradical(), p1, check=False)
     reg = is_regular_local(red_at_p)
     if not reg.regular:
         raise CertificationError(
-            "hypothesis", "reduced ring is not regular at the split center"
+            check, "reduced ring is not regular at the split center"
         )
-    gens, rows = cotangent_presentation(red_at_p)
-    idx = _select_basis(L.ring, gens, rows, p1, nu=nu)
-    params = [gens[i] for i in idx]
+    return red_at_p, reg
+
+
+def _basis_and_extras(L, nu, p1, gens, rows, modulus, check, what):
+    """A basis of the gens at p1 and the other gens that a blowup absorbs.
+
+    Each extra comes as (g, b) with b the denominator that absorbs g; a
+    generator with no relation with a unit is refused under `check`.
+    """
+    idx = _select_basis(L.ring, gens, rows, p1, nu)
+    basis = [gens[i] for i in idx]
     extras = []
     for j, g in enumerate(gens):
         if j in idx:
             continue
-        kind, b = _absorption(L, p1, params, L.defining, g)
+        kind, b = _absorption(L, p1, basis, modulus, g)
         if kind == "stuck":
             raise CertificationError(
-                "trim", f"generator {g.text()} admits no relation with a unit"
+                check, f"{what} {g.text()} admits no relation with a unit"
             )
         if kind == "blowup":
             extras.append((g, b))
-    return p1, params, extras
+    return basis, extras
 
 
-def _verify_split_criterion(L, nu, check_freeness):
+def _trim_probe(L, nu, p1):
+    """Parameters at the split center and the extras still obstructing them."""
+    red_at_p, _ = _regular_at(L, p1, "hypothesis")
+    gens, rows = cotangent_presentation(red_at_p)
+    return _basis_and_extras(
+        L, nu, p1, gens, rows, L.defining, "trim", "generator"
+    )
+
+
+def _verify_split_criterion(L, nu, p1, check_freeness):
     """r parameters at the split center plus the quotient's dimension must
     reach the reduced ring's dimension; after a trim the parameter relations
     must vanish at the split center."""
-    nu1, _ = decompose(nu, 1)
-    p1 = center_ideal(nu1)
-    nil = L.nilradical()
-    red_at_p = LocalRing(L.ring, nil, p1, check=False)
-    reg = is_regular_local(red_at_p)
-    if not reg.regular:
-        raise CertificationError(
-            "regularity criterion", "reduced ring is not regular at the split center"
-        )
+    red_at_p, reg = _regular_at(L, p1, "regularity criterion")
     r = reg.embedding_dimension
     quotient = LocalRing(L.ring, p1, L.center, check=False)
     t = quotient.dimension()
+    nil = red_at_p.defining
     total = LocalRing(L.ring, nil, L.center, check=False).dimension()
     if r + t != total:
         raise CertificationError(
@@ -246,10 +264,8 @@ def _verify_split_criterion(L, nu, check_freeness):
         gens, rows = cotangent_presentation(
             LocalRing(L.ring, L.defining, p1, check=False)
         )
-        idx = _select_basis(L.ring, gens, rows, p1, nu=nu)
+        idx = _select_basis(L.ring, gens, rows, p1, nu)
         params = [gens[i] for i in idx]
-        from .modules import relation_module
-
         for row in relation_module(params, p1.power(2) + L.defining):
             for entry in row:
                 if not p1.contains(entry):
@@ -271,27 +287,26 @@ def step2(L, nu, budget=None, steps=None):
     """
     if nu.rank < 2:
         raise UnsupportedInstance("splitting needs a valuation of rank at least two")
-    budget = budget or _Budget(32)
+    budget = budget or _Budget(BLOWUP_POOL)
     steps = [] if steps is None else steps
+    p1 = _split_center(nu)
     if is_regular_local(L.reduced()).regular:
-        _verify_split_criterion(L, nu, check_freeness=False)
+        _verify_split_criterion(L, nu, p1, check_freeness=False)
         return L, nu, steps
-    for _ in range(32):
-        p1, params, extras = _trim_probe(L, nu)
-        if not extras:
-            break
+    params, extras = _trim_probe(L, nu, p1)
+    while extras:
         g, b = extras[0]
         B = local_blowup(L, b, params, nu=nu)
         L, nu = _apply(
-            L, nu, B, "trim",
+            nu, B, "trim",
             {"absorbed": g.text(), "extras_left": len(extras) - 1}, budget, steps,
         )
-        left = len(_trim_probe(L, nu)[2])
-        if left >= len(extras):
+        p1 = _split_center(nu)
+        params, left = _trim_probe(L, nu, p1)
+        if len(left) >= len(extras):
             raise CertificationError("trim", "blowup did not absorb a generator")
-    else:
-        raise CertificationError("trim", "extras did not stabilize")
-    _verify_split_criterion(L, nu, check_freeness=True)
+        extras = left
+    _verify_split_criterion(L, nu, p1, check_freeness=True)
     reg = is_regular_local(L.reduced())
     if not reg.regular:
         raise CertificationError(
@@ -300,27 +315,13 @@ def step2(L, nu, budget=None, steps=None):
     return L, nu, steps
 
 
-def _piece_probe(L, nu, n):
+def _piece_probe(L, nu, p1, n):
     """Local basis of the n-th graded piece at the split center and extras."""
-    nu1, _ = decompose(nu, 1)
-    p1 = center_ideal(nu1)
     gens, rows = graded_piece(L, n)
-    idx = _select_basis(L.ring, gens, rows, p1, nu=nu)
-    basis = [gens[i] for i in idx]
     modulus = L.nilradical().power(n + 1) + L.defining
-    extras = []
-    for j, g in enumerate(gens):
-        if j in idx:
-            continue
-        kind, b = _absorption(L, p1, basis, modulus, g)
-        if kind == "stuck":
-            raise CertificationError(
-                "normal flatness",
-                f"piece generator {g.text()} admits no relation with a unit",
-            )
-        if kind == "blowup":
-            extras.append((g, b))
-    return p1, basis, extras
+    return _basis_and_extras(
+        L, nu, p1, gens, rows, modulus, "normal flatness", "piece generator"
+    )
 
 
 def step3(L, nu, budget=None, steps=None):
@@ -333,11 +334,10 @@ def step3(L, nu, budget=None, steps=None):
     """
     if nu.rank < 2:
         raise UnsupportedInstance("splitting needs a valuation of rank at least two")
-    budget = budget or _Budget(32)
+    budget = budget or _Budget(BLOWUP_POOL)
     steps = [] if steps is None else steps
-    for _ in range(32):
-        nu1, _ = decompose(nu, 1)
-        p1 = center_ideal(nu1)
+    p1 = _split_center(nu)
+    while True:
         length = nilpotent_length(L)
         for n in range(1, length):
             fr = is_free_at(L, n, prime=p1)
@@ -353,7 +353,7 @@ def step3(L, nu, budget=None, steps=None):
                 break
         if bad is None:
             return L, nu, steps
-        _, basis, extras = _piece_probe(L, nu, bad)
+        basis, extras = _piece_probe(L, nu, p1, bad)
         if not extras:
             raise CertificationError(
                 "normal flatness",
@@ -363,12 +363,13 @@ def step3(L, nu, budget=None, steps=None):
         g, b = extras[0]
         B = local_blowup(L, b, basis, nu=nu)
         L, nu = _apply(
-            L, nu, B, "normal-flat",
+            nu, B, "normal-flat",
             {"piece": bad, "absorbed": g.text(), "extras_left": len(extras) - 1},
             budget, steps,
         )
+        p1 = _split_center(nu)
         if nilpotent_length(L) > bad:
-            _, basis_after, extras_after = _piece_probe(L, nu, bad)
+            basis_after, extras_after = _piece_probe(L, nu, p1, bad)
             if len(basis_after) != rank_before:
                 raise CertificationError(
                     "normal flatness", "local rank moved across the blowup"
@@ -377,7 +378,6 @@ def step3(L, nu, budget=None, steps=None):
                 raise CertificationError(
                     "normal flatness", "blowup did not absorb a generator"
                 )
-    raise CertificationError("normal flatness", "pieces did not stabilize")
 
 
 def toric_uniformizer(L, nu, cap=16):
@@ -438,9 +438,9 @@ def toric_uniformizer(L, nu, cap=16):
 
 def _lift_loops(L, nu, oracle, budget, steps):
     for source in ("localization", "quotient"):
-        for _ in range(32):
+        while True:
             nu1, nu2 = decompose(nu, 1)
-            p1 = center_ideal(nu1)
+            p1 = nu2.support
             if source == "localization":
                 sub_ring = LocalRing(L.ring, L.defining, p1)
                 sub_nu = nu1
@@ -457,11 +457,7 @@ def _lift_loops(L, nu, oracle, budget, steps):
             else:
                 B = lift_from_quotient(L, nu, p1, B0.b, list(B0.a_list))
             L, nu = _apply(
-                L, nu, B, "regularize", {"lifted_from": source}, budget, steps
-            )
-        else:
-            raise CertificationError(
-                "regularize", f"{source} lifting did not stabilize"
+                nu, B, "regularize", {"lifted_from": source}, budget, steps
             )
     return L, nu
 
@@ -476,7 +472,7 @@ def _reduce(L, nu, oracle, budget, steps):
                 raise IsomorphismCheckFailed(
                     "oracle blowup does not start on the current chart"
                 )
-            L, nu = _apply(L, nu, B, "oracle", {}, budget, steps)
+            L, nu = _apply(nu, B, "oracle", {}, budget, steps)
     else:
         L, nu = _lift_loops(L, nu, oracle, budget, steps)
         L, nu, _ = step2(L, nu, budget, steps)
@@ -491,7 +487,7 @@ def _reduce(L, nu, oracle, budget, steps):
     return L, nu
 
 
-def run_reduction(L, nu, oracle=None, budget=32):
+def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
     """Drive the full reduction; never raises except for isomorphism failures.
 
     Returns a ReductionTrace whose verdict is Uniformized, Unsupported (with
@@ -506,8 +502,6 @@ def run_reduction(L, nu, oracle=None, budget=32):
         return ReductionTrace(steps, UNIFORMIZED, "", L2, nu2)
     except IsomorphismCheckFailed:
         raise
-    except _BudgetExhausted:
-        verdict, reason = BUDGET_EXCEEDED, f"more than {budget} blowups"
     except ResourceLimit as e:
         verdict, reason = BUDGET_EXCEEDED, str(e)
     except LuError as e:

@@ -317,23 +317,6 @@ class Polynomial:
             t[tuple(e2)] = small.field.coerce(c)
         return Polynomial(small, t)
 
-    def evaluate(self, point):
-        """Value at a point given as {name: constant}; every variable needs a value."""
-        F = self.ring.field
-        vals = []
-        for nm in self.ring.names:
-            if nm not in point:
-                raise LuError(f"no value for variable {nm!r}")
-            vals.append(F.coerce(point[nm]))
-        total = F.zero
-        for e, c in self.terms.items():
-            part = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    part = F.mul(part, vals[i])
-            total = F.add(total, part)
-        return total
-
     def text(self, order=None):
         """Deterministic rendering, biggest term first under the canonical order."""
         if not self.terms:

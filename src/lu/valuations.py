@@ -44,9 +44,6 @@ class Value:
     def is_infinite(self):
         return self.vec is None
 
-    def _key(self):
-        return (1,) if self.vec is None else (0, self.vec)
-
     def __eq__(self, other):
         return isinstance(other, Value) and self.vec == other.vec
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import lu.cli
+import lu.pipeline
 import lu.scenes
 from lu import ideals
 from lu.cli import main
@@ -102,6 +104,30 @@ def test_a_resource_limit_exits_3(monkeypatch, capsys, command):
     out, err = capsys.readouterr()
     assert "exceeded 2 reductions" in out + err
     assert "unsupported" not in (out + err).lower()
+
+
+def test_run_prints_its_verdict_when_the_final_basis_is_over_budget(
+    monkeypatch, capsys
+):
+    def load_then_limit(source):
+        # the scene loads in full; the run and the final chart's basis are
+        # then computed under the small budget
+        loaded = lu.scenes.load_scene(source)
+        monkeypatch.setattr(ideals, "_BASES", Memo())
+        monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
+        return loaded
+
+    monkeypatch.setattr(lu.cli, "load_scene", load_then_limit)
+    assert main(["run", "F2"]) == 3
+    out = capsys.readouterr().out
+    assert "verdict: BudgetExceeded (basis computation exceeded 2 reductions)" in out
+
+
+def test_a_step_out_of_blowups_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(lu.pipeline, "BLOWUP_POOL", 0)
+    assert main(["step1", "F1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: more than 0 blowups\n"
 
 
 def test_blowup_and_lemma_check(capsys):

@@ -1,11 +1,19 @@
 """The three reduction steps and the driving loop."""
 
+import pytest
 from conftest import scene
 
 from lu import ideals
-from lu.errors import UnsupportedInstance
+from lu.errors import ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits, Memo
-from lu.pipeline import run_reduction, step1, step2, step3, toric_uniformizer
+from lu.pipeline import (
+    _Budget,
+    run_reduction,
+    step1,
+    step2,
+    step3,
+    toric_uniformizer,
+)
 from lu.scenes import load_scene
 
 
@@ -137,6 +145,16 @@ def test_run_reduction_respects_the_budget():
     assert trace.verdict == "BudgetExceeded"
     assert trace.reason == "more than 0 blowups"
     assert trace.steps == []
+
+
+def test_an_empty_blowup_pool_is_a_resource_limit():
+    with pytest.raises(ResourceLimit, match="more than 0 blowups"):
+        step1(*load_scene("F1"), budget=_Budget(0))
+    # a sub-run's clone reports the run's own pool, not what was left of it
+    pool = _Budget(1)
+    pool.spend()
+    with pytest.raises(ResourceLimit, match="more than 1 blowups"):
+        pool.clone().spend()
 
 
 def test_run_reduction_reports_a_resource_limit_as_budget_exceeded(monkeypatch):
