@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import LuError, ResourceLimit, UnsupportedInstance
-from .localring import is_normally_flat, is_regular_local, nilpotent_length
+from .localring import is_normally_flat, is_regular_local
 from .pipeline import (
     BLOWUP_POOL,
     BUDGET_EXCEEDED,
@@ -55,7 +55,7 @@ def _cmd_check(args):
         f"reduced regular: {reg.regular} "
         f"(embdim={reg.embedding_dimension}, dim={reg.dimension})"
     )
-    print(f"normally flat: {flat.flat} (N={nilpotent_length(L)})")
+    print(f"normally flat: {flat.flat} (N={flat.length})")
     bad = axiom_violations(nu, count=args.samples, seed=args.seed)
     print(f"axiom samples: {len(bad)} violations in {args.samples}")
     return 0 if not bad else 1

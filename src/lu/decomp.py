@@ -422,26 +422,36 @@ def _radical_uncached(I):
                     rb = tuple(x - y for x, y in zip(b, c))
                     rest = ring.monomial(ra) - ring.monomial(rb)
                     adds.append(ring.monomial(csq) * rest)
-        if ring.field.char == 0:
-            std = None
-            try:
-                std = standard_monomials(J)
-            except UnsupportedInstance:
-                std = None
-            if std is not None and std:
-                for nm in ring.names:
-                    mp = minimal_polynomial(J, ring.var(nm), len(std))
-                    sf = unifactor.squarefree_part(mp)
-                    if len(sf) < len(mp):
-                        adds.append(_subst_dense(ring.var(nm), sf))
+        roots = _squarefree_coordinates(J)
+        adds += roots or []
         adds = [a for a in adds if not J.contains(a)]
         if not adds:
-            return _certify_radical(J)
+            return _certify_radical(J, zero_dim_reduced=roots == [])
         J = J + adds
     raise UnsupportedInstance("radical augmentation did not stabilize")
 
 
-def _certify_radical(J):
+def _squarefree_coordinates(J):
+    """For J proper and zero dimensional in characteristic zero, the
+    squarefree parts of the variables' minimal polynomials that drop a
+    factor; J is radical when there is none.  None when this does not apply."""
+    ring = J.ring
+    try:
+        std = ring.field.char == 0 and standard_monomials(J)
+    except UnsupportedInstance:
+        std = None
+    if not std:
+        return None
+    out = []
+    for nm in ring.names:
+        mp = minimal_polynomial(J, ring.var(nm), len(std))
+        sf = unifactor.squarefree_part(mp)
+        if len(sf) < len(mp):
+            out.append(_subst_dense(ring.var(nm), sf))
+    return out
+
+
+def _certify_radical(J, zero_dim_reduced):
     ring = J.ring
     gb = J.groebner()
     if not gb:
@@ -478,21 +488,8 @@ def _certify_radical(J):
         if sat == B:
             return J
         raise UnsupportedInstance("binomial part is not saturated at its variables")
-    if ring.field.char == 0:
-        std = None
-        try:
-            std = standard_monomials(J)
-        except UnsupportedInstance:
-            std = None
-        if std:
-            ok = True
-            for nm in ring.names:
-                mp = minimal_polynomial(J, ring.var(nm), len(std))
-                if len(unifactor.squarefree_part(mp)) < len(mp):
-                    ok = False
-                    break
-            if ok:
-                return J
+    if zero_dim_reduced:
+        return J
     raise UnsupportedInstance("radical certificate classes exhausted")
 
 

@@ -15,7 +15,7 @@ through `/`, so no float appears.
 
 from fractions import Fraction
 
-from .errors import LuError
+from .errors import LuError, ResourceLimit
 
 
 def _is_prime_u31(p):
@@ -87,7 +87,10 @@ class Rationals:
         return (-1, -a) if a < 0 else (1, a)
 
     def str_of(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # more digits than the interpreter converts to text
+            raise ResourceLimit("coefficient has too many digits to print") from None
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

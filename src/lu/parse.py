@@ -12,7 +12,9 @@ Numerals are unsigned; minus is only the binary or leading unary operator.
 '/' exists solely inside rational literals, matching how coefficients are
 printed, so every text() output parses back.  NAME must be a variable of
 the ambient ring.  Parentheses nest at most MAX_DEPTH deep, so the
-recursive descent stays far below the interpreter's recursion limit.
+recursive descent stays far below the interpreter's recursion limit, and an
+integer literal has at most MAX_DIGITS digits, the interpreter's default
+limit for converting text to int.
 """
 
 import re
@@ -22,6 +24,7 @@ from .errors import ExponentOverflow, PolySyntaxError, UnknownVariable
 from .poly import EXP_CAP
 
 MAX_DEPTH = 100
+MAX_DIGITS = 4300
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -35,6 +38,8 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise PolySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "int" and len(m.group()) > MAX_DIGITS:
+            raise PolySyntaxError("integer literal too long", pos)
         if m.lastgroup != "ws":
             toks.append((m.lastgroup, m.group(), pos))
         pos = m.end()

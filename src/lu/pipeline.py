@@ -4,17 +4,18 @@ Every step returns the blowups it performed and re-verifies its own claim on
 the instance afterwards: step one that the associated-prime count strictly
 drops until one remains, step two that the reduced ring becomes regular with
 the dimension count r + t matching, step three that the nilpotent graded
-pieces become free along the center.  Rank one instances are delegated to an
-oracle after step one; higher rank splits off the first value row, uniformizes
-the localized and quotient data recursively, and lifts each blowup back.
-Nothing is trusted across a lift: the lifted chart re-runs the full
-certificate chain before it is accepted.
+pieces become free along the center.  Higher rank splits off the first value
+row, uniformizes the localized and quotient data recursively, and lifts each
+blowup back; nothing is trusted across a lift: the lifted chart re-runs the
+full certificate chain before it is accepted.  The driver then verifies each
+chart once (reduced ring regular, normally flat): at higher rank a failure is
+refused, at rank one the oracle is asked for the next blowup on that chart.
 
 The run's pool of blowups (BLOWUP_POOL unless the caller says otherwise) is
-the only bound on these loops: every round that does not exit blows up once
-and spends from the pool, and a sub-run draws on a clone of what is left.
-An empty pool raises ResourceLimit, which run_reduction reports as
-BudgetExceeded.
+the only bound on these loops, the oracle's descent included: every round
+that does not exit blows up once and spends from the pool, and a sub-run
+draws on a clone of what is left.  An empty pool raises ResourceLimit, which
+run_reduction reports as BudgetExceeded.
 """
 
 from dataclasses import dataclass
@@ -51,9 +52,6 @@ BLOWUP_POOL = 32
 UNIFORMIZED = "Uniformized"
 UNSUPPORTED = "Unsupported"
 BUDGET_EXCEEDED = "BudgetExceeded"
-
-LABELS = ("ass-prime", "trim", "regularize", "normal-flat", "oracle")
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -237,19 +235,21 @@ def _basis_and_extras(L, nu, p1, gens, rows, modulus, check, what):
 
 
 def _trim_probe(L, nu, p1):
-    """Parameters at the split center and the extras still obstructing them."""
-    red_at_p, _ = _regular_at(L, p1, "hypothesis")
-    gens, rows = cotangent_presentation(red_at_p)
-    return _basis_and_extras(
+    """Parameters at the split center, the extras still obstructing them,
+    and the regularity at p1 that the probe passed."""
+    at_p1 = _regular_at(L, p1, "hypothesis")
+    gens, rows = cotangent_presentation(at_p1[0])
+    params, extras = _basis_and_extras(
         L, nu, p1, gens, rows, L.defining, "trim", "generator"
     )
+    return params, extras, at_p1
 
 
-def _verify_split_criterion(L, nu, p1, check_freeness):
+def _verify_split_criterion(L, nu, p1, at_p1=None):
     """r parameters at the split center plus the quotient's dimension must
-    reach the reduced ring's dimension; after a trim the parameter relations
-    must vanish at the split center."""
-    red_at_p, reg = _regular_at(L, p1, "regularity criterion")
+    reach the reduced ring's dimension; after a trim (`at_p1` is its last
+    probe's regularity at p1) the parameter relations must vanish there."""
+    red_at_p, reg = at_p1 or _regular_at(L, p1, "regularity criterion")
     r = reg.embedding_dimension
     quotient = LocalRing(L.ring, p1, L.center, check=False)
     t = quotient.dimension()
@@ -260,7 +260,7 @@ def _verify_split_criterion(L, nu, p1, check_freeness):
             "regularity criterion",
             f"r + t = {r} + {t} does not reach the dimension {total}",
         )
-    if check_freeness:
+    if at_p1:
         gens, rows = cotangent_presentation(
             LocalRing(L.ring, L.defining, p1, check=False)
         )
@@ -291,9 +291,9 @@ def step2(L, nu, budget=None, steps=None):
     steps = [] if steps is None else steps
     p1 = _split_center(nu)
     if is_regular_local(L.reduced()).regular:
-        _verify_split_criterion(L, nu, p1, check_freeness=False)
+        _verify_split_criterion(L, nu, p1)
         return L, nu, steps
-    params, extras = _trim_probe(L, nu, p1)
+    params, extras, at_p1 = _trim_probe(L, nu, p1)
     while extras:
         g, b = extras[0]
         B = local_blowup(L, b, params, nu=nu)
@@ -302,11 +302,11 @@ def step2(L, nu, budget=None, steps=None):
             {"absorbed": g.text(), "extras_left": len(extras) - 1}, budget, steps,
         )
         p1 = _split_center(nu)
-        params, left = _trim_probe(L, nu, p1)
+        params, left, at_p1 = _trim_probe(L, nu, p1)
         if len(left) >= len(extras):
             raise CertificationError("trim", "blowup did not absorb a generator")
         extras = left
-    _verify_split_criterion(L, nu, p1, check_freeness=True)
+    _verify_split_criterion(L, nu, p1, at_p1)
     reg = is_regular_local(L.reduced())
     if not reg.regular:
         raise CertificationError(
@@ -380,60 +380,45 @@ def step3(L, nu, budget=None, steps=None):
                 )
 
 
-def toric_uniformizer(L, nu, cap=16):
+def toric_uniformizer(L, nu):
     """Rank one oracle for zero, monomial, and weight homogeneous binomial
-    prime presentations: Euclidean descent on variable values.
-
-    Repeatedly divides the positive variable of least value into the next
-    one until the reduced chart is regular and normally flat.
-    """
+    prime presentations: the next blowup of the Euclidean descent on variable
+    values, which divides the positive variable of least value into the next
+    one."""
     if nu.rank != 1:
         raise UnsupportedInstance("the descent oracle needs a rank one valuation")
-    blowups = []
-    for _ in range(cap):
-        if is_regular_local(L.reduced()).regular and is_normally_flat(L).flat:
-            return blowups
-        gb = L.defining.canonical_gb()
-        monomial = all(len(g.terms) == 1 for g in gb)
-        if gb and not monomial:
-            if any(len(g.terms) > 2 for g in gb):
+    gb = L.defining.canonical_gb()
+    if any(len(g.terms) > 1 for g in gb):
+        if any(len(g.terms) > 2 for g in gb):
+            raise UnsupportedInstance(
+                "descent handles zero, monomial, or binomial presentations"
+            )
+        for g in gb:
+            if len({nu.weight_of_exps(e) for e in g.terms}) != 1:
                 raise UnsupportedInstance(
-                    "descent handles zero, monomial, or binomial presentations"
+                    "binomial presentation is not weight homogeneous"
                 )
-            for g in gb:
-                if len({nu.weight_of_exps(e) for e in g.terms}) != 1:
-                    raise UnsupportedInstance(
-                        "binomial presentation is not weight homogeneous"
-                    )
-            if not is_prime(L.defining).is_prime:
-                raise UnsupportedInstance("binomial presentation is not prime")
-        ring = L.ring
-        finite = []
-        for i, nm in enumerate(ring.names):
-            v = nu.value_of(ring.var(nm))
-            if not v.is_infinite and v.is_positive:
-                finite.append((v, i, nm))
-        finite.sort(key=lambda c: (c[0], c[1]))
-        if not finite:
-            raise UnsupportedInstance("no variable of positive finite value to divide")
-        b = ring.var(finite[0][2])
-        if len(finite) >= 2:
-            a = ring.var(finite[1][2])
-        else:
-            infinite = [
-                nm for nm in ring.names
-                if nu.value_of(ring.var(nm)).is_infinite
-                and L.center.contains(ring.var(nm))
-            ]
-            if not infinite:
-                raise UnsupportedInstance("no second variable for the descent pair")
-            a = ring.var(infinite[0])
-        B = local_blowup(L, b, [a], nu=nu)
-        nu = transport_through_blowup(nu, B)
-        certify(nu, B.chart.defining, B.chart.center)
-        blowups.append(B)
-        L = B.chart
-    raise UnsupportedInstance(f"descent did not terminate within {cap} blowups")
+        if not is_prime(L.defining).is_prime:
+            raise UnsupportedInstance("binomial presentation is not prime")
+    ring = L.ring
+    values = [nu.value_of(ring.var(nm)) for nm in ring.names]
+    finite = sorted(
+        (v, i) for i, v in enumerate(values) if not v.is_infinite and v.is_positive
+    )
+    if not finite:
+        raise UnsupportedInstance("no variable of positive finite value to divide")
+    b = ring.var(ring.names[finite[0][1]])
+    if len(finite) >= 2:
+        a = ring.var(ring.names[finite[1][1]])
+    else:
+        infinite = [
+            nm for nm, v in zip(ring.names, values)
+            if v.is_infinite and L.center.contains(ring.var(nm))
+        ]
+        if not infinite:
+            raise UnsupportedInstance("no second variable for the descent pair")
+        a = ring.var(infinite[0])
+    return local_blowup(L, b, [a], nu=nu)
 
 
 def _lift_loops(L, nu, oracle, budget, steps):
@@ -465,35 +450,37 @@ def _lift_loops(L, nu, oracle, budget, steps):
 def _reduce(L, nu, oracle, budget, steps):
     certify(nu, L.defining, L.center)
     L, nu, _ = step1(L, nu, budget, steps)
-    if nu.rank == 1:
-        fn = oracle or toric_uniformizer
-        for B in fn(L, nu):
-            if B.source != L:
-                raise IsomorphismCheckFailed(
-                    "oracle blowup does not start on the current chart"
-                )
-            L, nu = _apply(nu, B, "oracle", {}, budget, steps)
-    else:
+    if nu.rank > 1:
         L, nu = _lift_loops(L, nu, oracle, budget, steps)
         L, nu, _ = step2(L, nu, budget, steps)
         L, nu, _ = step3(L, nu, budget, steps)
-    reg = is_regular_local(L.reduced())
-    flat = is_normally_flat(L)
-    if not (reg.regular and flat.flat):
-        raise CertificationError(
-            "final verification",
-            f"regular={reg.regular}, normally_flat={flat.flat}",
-        )
-    return L, nu
+    while True:
+        regular = is_regular_local(L.reduced()).regular
+        # the refusal at higher rank reports both facts; the oracle needs one
+        flat = (regular or nu.rank > 1) and is_normally_flat(L).flat
+        if regular and flat:
+            return L, nu
+        if nu.rank > 1:
+            raise CertificationError(
+                "final verification", f"regular={regular}, normally_flat={flat}"
+            )
+        B = (oracle or toric_uniformizer)(L, nu)
+        if B.source != L:
+            raise IsomorphismCheckFailed(
+                "oracle blowup does not start on the current chart"
+            )
+        L, nu = _apply(nu, B, "oracle", {}, budget, steps)
 
 
 def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
     """Drive the full reduction; never raises except for isomorphism failures.
 
-    Returns a ReductionTrace whose verdict is Uniformized, Unsupported (with
-    the refusing reason), or BudgetExceeded: more than `budget` blowups, or
-    a basis computation that ran out of `ideals.BUDGET` (the reason says
-    which).
+    `oracle(L, nu)` is the rank one hypothesis: given a rank one chart that
+    is not yet uniformized, it returns the next LocalBlowup of L (the toric
+    descent by default) or refuses with a LuError.  Returns a ReductionTrace
+    whose verdict is Uniformized, Unsupported (with the refusing reason), or
+    BudgetExceeded: more than `budget` blowups, or a basis computation that
+    ran out of `ideals.BUDGET` (the reason says which).
     """
     steps = []
     pool = _Budget(budget)

@@ -144,13 +144,18 @@ def trace_to_dict(trace):
             }
         )
     final = trace.final_ring
+    if trace.verdict == UNIFORMIZED:  # the verdict certifies both
+        regular = flat = True
+    else:
+        regular = _final_fact(trace, lambda: is_regular_local(final.reduced()).regular)
+        flat = _final_fact(trace, lambda: is_normally_flat(final).flat)
     return {
         "steps": steps,
         "final": {
             "ideal_gb": list(final.defining.canonical_strings()),
             "center_gb": list(final.center.canonical_strings()),
-            "regular": _final_fact(trace, lambda: is_regular_local(final.reduced()).regular),
-            "normally_flat": _final_fact(trace, lambda: is_normally_flat(final).flat),
+            "regular": regular,
+            "normally_flat": flat,
             "N": _final_fact(trace, lambda: nilpotent_length(final)),
         },
         "verdict": trace.verdict,

@@ -39,6 +39,11 @@ def test_check_certifies_fixtures(capsys):
     assert "class: variables" in out
 
 
+def test_check_reports_the_nilpotent_length(capsys):
+    assert main(["check", "F2"]) == 0
+    assert "\nnormally flat: False (N=2)\n" in capsys.readouterr().out
+
+
 def test_check_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

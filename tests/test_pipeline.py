@@ -3,7 +3,8 @@
 import pytest
 from conftest import scene
 
-from lu import ideals
+import lu.scenes
+from lu import ideals, pipeline
 from lu.errors import ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits, Memo
 from lu.pipeline import (
@@ -14,7 +15,7 @@ from lu.pipeline import (
     step3,
     toric_uniformizer,
 )
-from lu.scenes import load_scene
+from lu.scenes import load_scene, trace_to_json
 
 
 def _fat_axis():
@@ -115,15 +116,71 @@ def test_splitting_steps_need_rank_two():
 
 def test_toric_uniformizer_on_the_cusp():
     local, nu = _cusp()
-    blowups = toric_uniformizer(local, nu)
-    assert [(B.b.text(), [a.text() for a in B.a_list]) for B in blowups] == [
-        ("x", ["y"])
-    ]
+    B = toric_uniformizer(local, nu)
+    assert B.source == local
+    assert (B.b.text(), [a.text() for a in B.a_list]) == ("x", ["y"])
 
 
 def test_toric_uniformizer_skips_a_regular_point():
+    def never(L, nu):
+        raise AssertionError("the oracle was asked on a uniformized chart")
+
     local, nu = scene(["x", "y"], [], ["x", "y"], [], {"x": (2,), "y": (3,)}, 1)
-    assert toric_uniformizer(local, nu) == []
+    trace = run_reduction(local, nu, oracle=never)
+    assert trace.verdict == "Uniformized"
+    assert trace.steps == []
+
+
+def _cusp_2_5():
+    return scene(
+        ["x", "y"], ["y^2 - x^5"], ["x", "y"], ["y^2 - x^5"],
+        {"x": (2,), "y": (5,)}, 1,
+    )
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_descent_chart_is_transported_and_certified_once(monkeypatch):
+    transports = _count_calls(monkeypatch, pipeline, "transport_through_blowup")
+    certificates = _count_calls(monkeypatch, pipeline, "certify")
+    trace = run_reduction(*_cusp_2_5())
+    assert [s.label for s in trace.steps] == ["oracle", "oracle"]
+    # the scene once, then each of the two charts once
+    assert (len(transports), len(certificates)) == (2, 3)
+
+
+def test_the_blowup_pool_bounds_the_descent():
+    asked = []
+
+    def oracle(L, nu):
+        asked.append(L)
+        return toric_uniformizer(L, nu)
+
+    trace = run_reduction(*_cusp_2_5(), oracle=oracle, budget=1)
+    assert trace.verdict == "BudgetExceeded"
+    assert trace.reason == "more than 1 blowups"
+    assert len(asked) == 2
+    assert len(trace.steps) == 1
+    assert trace.final_ring == trace.steps[0].blowup.chart
+
+
+def test_a_run_and_its_trace_check_regularity_at_most_seven_times_on_f3(monkeypatch):
+    calls = _count_calls(monkeypatch, pipeline, "is_regular_local")
+    monkeypatch.setattr(lu.scenes, "is_regular_local", pipeline.is_regular_local)
+    trace = run_reduction(*load_scene("F3"))
+    assert trace.verdict == "Uniformized"
+    trace_to_json(trace)
+    assert len(calls) <= 7
 
 
 def test_run_reduction_on_the_fixtures():

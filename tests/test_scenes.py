@@ -201,3 +201,17 @@ def test_only_refusals_become_null_facts(monkeypatch):
     monkeypatch.setattr(lu.scenes, "nilpotent_length", broken)
     with pytest.raises(DimensionMismatch):
         trace_to_dict(trace)
+
+
+def test_a_uniformized_trace_reuses_the_final_verification(monkeypatch):
+    """The verdict certifies regular and normally flat; serializing derives neither."""
+    trace = run_reduction(*load_scene("F1"))
+    assert trace.verdict == "Uniformized"
+
+    def recomputed(L):
+        raise AssertionError("trace serialization re-derived a final fact")
+
+    monkeypatch.setattr(lu.scenes, "is_regular_local", recomputed)
+    monkeypatch.setattr(lu.scenes, "is_normally_flat", recomputed)
+    final = json.loads(trace_to_json(trace))["final"]
+    assert (final["regular"], final["normally_flat"]) == (True, True)
