@@ -26,7 +26,6 @@ from .valuations import Value, WeightValuation, certify, decompose
 from .blowup import (
     LocalBlowup,
     compose,
-    identity_blowup,
     lift_from_localization,
     lift_from_quotient,
     local_blowup,
@@ -70,7 +69,6 @@ __all__ = [
     "certify",
     "compose",
     "decompose",
-    "identity_blowup",
     "is_free_at",
     "is_normally_flat",
     "is_prime",

@@ -100,11 +100,8 @@ def local_blowup(L, b, a_list, nu=None):
                 )
     t_names = _chart_names(set(ring.names), len(a_list))
     S = ring.extend(t_names)
-    bS = b.substitute(S)
-    gens = [g.substitute(S) for g in L.defining.gens]
-    gens += [bS * S.var(nm) - a.substitute(S) for nm, a in zip(t_names, a_list)]
-    J, N = Ideal(S, gens).saturation(bS)
-    if J.colon(bS) != J:
+    J, N = _chart_ideal(S, L.defining, b, a_list, t_names)
+    if J.colon(b.substitute(S)) != J:
         raise CertificationError(
             "chart denominator is a zero divisor after saturation"
         )
@@ -113,18 +110,17 @@ def local_blowup(L, b, a_list, nu=None):
     return LocalBlowup(L, chart, b, a_list, t_names, N)
 
 
-def identity_blowup(L):
-    """Blowup along the unit ideal: the chart is L itself."""
-    return local_blowup(L, L.ring.one(), [])
+def _chart_ideal(S, ideal, b, a_list, t_names):
+    """(ideal + (b*t_i - a_i)) in the chart ring S, saturated at b; (J, N)."""
+    bS = b.substitute(S)
+    gens = [g.substitute(S) for g in ideal.gens]
+    gens += [bS * S.var(nm) - a.substitute(S) for nm, a in zip(t_names, a_list)]
+    return Ideal(S, gens).saturation(bS)
 
 
 def strict_transform(B, ideal):
     """The saturated image of an ideal of the source in the chart; (ideal, N)."""
-    S = B.chart.ring
-    bS = B.b.substitute(S)
-    gens = [g.substitute(S) for g in ideal.gens]
-    gens += [bS * S.var(nm) - a.substitute(S) for nm, a in zip(B.t_names, B.a_list)]
-    return Ideal(S, gens).saturation(bS)
+    return _chart_ideal(B.chart.ring, ideal, B.b, B.a_list, B.t_names)
 
 
 def transport_through_blowup(nu, B):
@@ -241,10 +237,7 @@ def compose(B1, B2):
     S2 = B2.chart.ring
     fresh = _chart_names(set(R.names) | set(S2.names), len(astar))
     Sstar = R.extend(fresh)
-    bstarS = bstar.substitute(Sstar)
-    gens = [g.substitute(Sstar) for g in B1.source.defining.gens]
-    gens += [bstarS * Sstar.var(nm) - a.substitute(Sstar) for nm, a in zip(fresh, astar)]
-    Jstar, N = Ideal(Sstar, gens).saturation(bstarS)
+    Jstar, N = _chart_ideal(Sstar, B1.source.defining, bstar, astar, fresh)
 
     old_ts = B1.t_names + B2.t_names
     fwd = {nm: S2.var(t) for nm, t in zip(fresh, old_ts)}

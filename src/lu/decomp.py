@@ -6,15 +6,21 @@ ideals with saturated exponent lattice, principal univariate irreducibles,
 zero dimensional rings certified to be fields), "not-prime" always comes with
 a zero divisor witness that is re-verified by normal forms, and everything
 else is "unknown" so that callers can refuse the instance instead of lying.
+
+`is_prime` and `radical` are `functools.lru_cache`s of the MEMO_CAP most
+recently used ideals.  An ideal hashes and compares by its ring and reduced
+degrevlex basis, so every presentation of one ideal shares one entry, and
+`cache_info()` counts the verdicts reused and computed cold.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import unifactor
 from .errors import CertificationError, LuError, UnsupportedInstance
-from .ideals import Ideal, Memo
+from .ideals import MEMO_CAP, Ideal
 from .lattice import saturation_defect
 from .orders import degrevlex
 from .poly import mono_divides, mono_gcd
@@ -22,6 +28,8 @@ from .poly import mono_divides, mono_gcd
 PRIME = "prime"
 NOT_PRIME = "not-prime"
 UNKNOWN = "unknown"
+
+MAX_STANDARD_MONOMIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -33,10 +41,6 @@ class Primality:
     @property
     def is_prime(self):
         return self.verdict == PRIME
-
-
-_PRIME_MEMO = Memo()
-_RADICAL_MEMO = Memo()
 
 
 def _is_variable_exps(e):
@@ -212,7 +216,7 @@ def _principal_univariate(I, gb):
     return Primality(UNKNOWN, reason="univariate witness failed verification")
 
 
-def standard_monomials(I, cap=4096):
+def standard_monomials(I):
     """Monomials outside the initial ideal, or None when there are infinitely many."""
     if I.is_unit_ideal():
         return []
@@ -232,8 +236,10 @@ def standard_monomials(I, cap=4096):
     total = 1
     for b in bounds:
         total *= b
-        if total > cap:
-            raise UnsupportedInstance(f"more than {cap} standard monomials")
+        if total > MAX_STANDARD_MONOMIALS:
+            raise UnsupportedInstance(
+                f"more than {MAX_STANDARD_MONOMIALS} standard monomials"
+            )
     out = []
     for e in product(*[range(b) for b in bounds]):
         if not any(mono_divides(lt, e) for lt in lts):
@@ -346,12 +352,9 @@ def _subst_dense(ell, coeffs):
     return acc
 
 
+@lru_cache(maxsize=MEMO_CAP)
 def is_prime(I):
     """Primality verdict for a polynomial ideal; see the module docstring."""
-    return _PRIME_MEMO.get((I.ring, I.groebner()), lambda: _is_prime_uncached(I))
-
-
-def _is_prime_uncached(I):
     if I.is_unit_ideal():
         return Primality(NOT_PRIME, reason="unit ideal")
     gb = I.groebner()
@@ -392,12 +395,9 @@ def require_prime(I, what):
     raise UnsupportedInstance(f"cannot certify {what} prime: {verdict.reason}")
 
 
+@lru_cache(maxsize=MEMO_CAP)
 def radical(I):
     """The radical, computed by certified augmentation; refuses what it cannot prove."""
-    return _RADICAL_MEMO.get((I.ring, I.groebner()), lambda: _radical_uncached(I))
-
-
-def _radical_uncached(I):
     ring = I.ring
     J = I
     for _ in range(ring.n + 3):

@@ -14,6 +14,7 @@ through `/`, so no float appears.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import LuError, ResourceLimit
 
@@ -164,11 +165,8 @@ class PrimeField:
 
 QQ = Rationals()
 
-_FP_CACHE = {}
 
-
+@cache
 def GF(p):
     """Cached prime field constructor."""
-    if p not in _FP_CACHE:
-        _FP_CACHE[p] = PrimeField(p)
-    return _FP_CACHE[p]
+    return PrimeField(p)

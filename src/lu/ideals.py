@@ -22,21 +22,22 @@ need it import it when they run.
 Every computation is metered against the one module-level BUDGET and raises
 ResourceLimit when it runs out.  Bases of ideals and modules alike are served
 through `groebner_basis`, a process-wide memo in front of `buchberger` keyed
-by (order, generator tuple).  It holds the MEMO_CAP = 128 most recently used
-bases and stores successful results only, so a ResourceLimit is raised again
-on the next request rather than cached.  The `Memo` class behind it also
-bounds the primality and radical memos of `lu.decomp`.
+by (generator tuple, order).  Every memo of the package, this one and the
+primality and radical memos of `lu.decomp`, is a `functools.lru_cache` of
+the MEMO_CAP = 128 most recently used results.  It stores successful results
+only, so a ResourceLimit is raised again on the next request rather than
+cached, and its `cache_info()` counts the results reused (hits) and computed
+cold (misses).
 """
 
 import heapq
 from bisect import insort
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .errors import LuError, ResourceLimit
 from .orders import degrevlex, elimination_order
-from .parse import parse_poly
 from .poly import (
     Polynomial,
     mono_deg,
@@ -60,40 +61,16 @@ BUDGET = Limits()
 MEMO_CAP = 128
 
 
-class Memo:
-    """Least-recently-used results, at most MEMO_CAP of them.
-
-    Only results are stored: when `compute` raises (a ResourceLimit, say),
-    nothing is kept and the next lookup of that key computes again.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self):
-        self._data = OrderedDict()
-
-    def __len__(self):
-        return len(self._data)
-
-    def get(self, key, compute):
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-            return data[key]
-        out = compute()
-        data[key] = out
-        if len(data) > MEMO_CAP:
-            data.popitem(last=False)
-        return out
-
-
-_BASES = Memo()
-
-
 def groebner_basis(gens, order):
-    """buchberger(gens, order), memoized on (order, gens)."""
-    gens = tuple(gens)
-    return _BASES.get((order, gens), lambda: buchberger(gens, order))
+    """buchberger(gens, order), memoized on (gens, order)."""
+    return _cached_basis(tuple(gens), order)
+
+
+@lru_cache(maxsize=MEMO_CAP)
+def _cached_basis(gens, order):
+    # `buchberger` is looked up in the module at call time, so a wrapper
+    # bound to the module attribute sees every cold basis
+    return buchberger(gens, order)
 
 
 class _Meter:
@@ -299,10 +276,6 @@ class Ideal:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self._gb = {}
-
-    @classmethod
-    def parse(cls, ring, texts):
-        return cls(ring, [parse_poly(ring, t) for t in texts])
 
     def __repr__(self):
         inner = ", ".join(g.text() for g in self.gens) or "0"

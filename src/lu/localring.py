@@ -15,6 +15,8 @@ from .errors import CertificationError, UnsupportedInstance
 from .ideals import Ideal
 from .modules import minors, rank_mod_prime, reduce_entries, relation_module
 
+MAX_NILPOTENT_LENGTH = 8
+
 
 class LocalRing:
     __slots__ = ("ring", "defining", "center")
@@ -90,15 +92,17 @@ def is_regular_local(L):
     return Regularity(e == d, e, d)
 
 
-def nilpotent_length(L, cap=8):
+def nilpotent_length(L):
     """Least n with N^n inside the defining ideal; 1 means reduced."""
     N = L.nilradical()
     if N == L.defining:
         return 1
-    for n in range(2, cap + 1):
+    for n in range(2, MAX_NILPOTENT_LENGTH + 1):
         if L.defining.contains_ideal(N.power(n)):
             return n
-    raise UnsupportedInstance(f"nilpotent filtration longer than {cap}")
+    raise UnsupportedInstance(
+        f"nilpotent filtration longer than {MAX_NILPOTENT_LENGTH}"
+    )
 
 
 def nilradical_min_gens(L):

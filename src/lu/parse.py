@@ -14,17 +14,21 @@ printed, so every text() output parses back.  NAME must be a variable of
 the ambient ring.  Parentheses nest at most MAX_DEPTH deep, so the
 recursive descent stays far below the interpreter's recursion limit, and an
 integer literal has at most MAX_DIGITS digits, the interpreter's default
-limit for converting text to int.
+limit for converting text to int.  A power is expanded only when its term
+count, bounded by the number of monomials of degree k in the base's t
+terms, is at most MAX_POWER_TERMS; a bigger one is a ResourceLimit.
 """
 
 import re
 from fractions import Fraction
+from math import comb
 
-from .errors import ExponentOverflow, PolySyntaxError, UnknownVariable
+from .errors import ExponentOverflow, PolySyntaxError, ResourceLimit, UnknownVariable
 from .poly import EXP_CAP
 
 MAX_DEPTH = 100
 MAX_DIGITS = 4300
+MAX_POWER_TERMS = 1000
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -100,6 +104,12 @@ class _Parser:
             k = int(val)
             if k > EXP_CAP:
                 raise ExponentOverflow(f"exponent {k} exceeds the cap {EXP_CAP}")
+            t = len(base.terms)  # zero or a monomial stays one term at most
+            if t > 1 and comb(k + t - 1, t - 1) > MAX_POWER_TERMS:
+                raise ResourceLimit(
+                    f"power {k} of a {t}-term polynomial may have more than "
+                    f"{MAX_POWER_TERMS} terms"
+                )
             return base**k
         return base
 

@@ -71,6 +71,9 @@ def scene_from_dict(d):
     rank = val["rank"]
     if not _is_int(rank) or rank < 1:
         raise SceneError("rank wants a positive integer")
+    if rank > len(names):
+        # a valuation's rank is at most the ring's dimension
+        raise SceneError(f"rank {rank} exceeds the {len(names)} variables")
     support = defining + Ideal(ring, parse_many(ring, _str_list(val, "support")))
     weights = val["weights"]
     if not isinstance(weights, dict):

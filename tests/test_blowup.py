@@ -4,7 +4,6 @@ from conftest import ideal, ring, scene
 
 from lu.blowup import (
     compose,
-    identity_blowup,
     lift_from_localization,
     lift_from_quotient,
     local_blowup,
@@ -99,7 +98,7 @@ def test_identity_blowup_is_the_source():
     local, nu = scene(
         ["x", "y"], ["x^2", "x*y"], ["x", "y"], ["x"], {"y": (1,)}, 1
     )
-    B = identity_blowup(local)
+    B = local_blowup(local, local.ring.one(), [])
     assert B.chart == local
     assert B.t_names == ()
     # nu extends over the chart unchanged: b is a unit, no chart variables
@@ -168,7 +167,7 @@ def test_compose_with_identity_is_a_relabel():
     plane = _plane()
     R = plane.ring
     first = local_blowup(plane, R.var("x"), [R.var("y")])
-    whole = compose(first, identity_blowup(first.chart))
+    whole = compose(first, local_blowup(first.chart, first.chart.ring.one(), []))
     assert whole.b.text() == "x"
     assert [a.text() for a in whole.a_list] == ["y"]
     assert whole.chart == first.chart

@@ -10,7 +10,7 @@ import lu.scenes
 from lu import ideals
 from lu.cli import main
 from lu.errors import LuError
-from lu.ideals import Limits, Memo
+from lu.ideals import Limits
 
 
 def _cusp_file(tmp_path, field="Q", ideal="y^2 - x^3"):
@@ -103,7 +103,7 @@ def test_run_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_a_resource_limit_exits_3(monkeypatch, capsys, command):
     # an empty memo, so the bases are computed under the small budget
-    monkeypatch.setattr(ideals, "_BASES", Memo())
+    ideals._cached_basis.cache_clear()
     monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
     assert main([command, "F2"]) == 3
     out, err = capsys.readouterr()
@@ -118,7 +118,7 @@ def test_run_prints_its_verdict_when_the_final_basis_is_over_budget(
         # the scene loads in full; the run and the final chart's basis are
         # then computed under the small budget
         loaded = lu.scenes.load_scene(source)
-        monkeypatch.setattr(ideals, "_BASES", Memo())
+        ideals._cached_basis.cache_clear()
         monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
         return loaded
 

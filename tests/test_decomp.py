@@ -27,6 +27,17 @@ def test_prime_verdicts(xy, uxy):
     assert is_prime(ideal(xy, "x*y - 1")).verdict == PRIME
 
 
+def test_a_reordered_presentation_hits_the_memos(xy):
+    I = ideal(xy, "x^2 - y^3", "x*y")
+    J = ideal(xy, "x*y", "y^3 - x^2 + x*y")
+    assert I == J and I.gens != J.gens
+    for memo in (radical, is_prime):
+        cold = memo(I)
+        hits = memo.cache_info().hits
+        assert memo(J) is cold
+        assert memo.cache_info().hits == hits + 1
+
+
 def test_not_prime_comes_with_a_witness(xy):
     v = is_prime(ideal(xy, "x^2", "x*y"))
     assert v.verdict == NOT_PRIME

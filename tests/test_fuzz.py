@@ -8,11 +8,14 @@ tests the contract rather than the cost of a large power.
 import json
 import math
 import re
+import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lu.parse
 from lu.cli import main
-from lu.errors import LuError, PolySyntaxError
+from lu.errors import LuError, PolySyntaxError, ResourceLimit
 from lu.fields import GF, QQ
 from lu.parse import parse_poly
 from lu.poly import PolyRing
@@ -146,3 +149,16 @@ def test_a_coefficient_too_long_to_print_is_a_resource_limit(tmp_path, capsys):
     }))
     assert main(["check", str(path), "--samples", "5"]) == 3
     assert "too many digits" in capsys.readouterr().err
+
+
+def test_a_power_with_too_many_terms_is_a_resource_limit(monkeypatch):
+    xy = _RINGS[0]
+    monkeypatch.setattr(lu.parse, "MAX_POWER_TERMS", 100)
+    assert len(parse_poly(xy, "(1+x+y)^12").terms) == 91
+    with pytest.raises(ResourceLimit, match="more than 100 terms"):
+        parse_poly(xy, "(1+x+y)^20")  # up to comb(22, 2) = 231 terms
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        parse_poly(xy, "(1+x+y)^1000")
+    assert time.perf_counter() - start < 1

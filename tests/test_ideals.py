@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lu import ideals
+from lu import decomp, ideals
 from lu.errors import ResourceLimit
-from lu.ideals import Ideal, Limits, Memo, buchberger, groebner_basis
+from lu.ideals import Ideal, Limits, buchberger, groebner_basis
 from lu.orders import degrevlex, elimination_order
 from lu.parse import parse_many, parse_poly
 
@@ -164,48 +164,50 @@ def test_minimal_generators(xy):
     assert len(gb) == 2
 
 
-def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent():
-    cap = ideals.MEMO_CAP
-    memo = Memo()
-    for k in range(cap):
-        assert memo.get(k, lambda: k * k) == k * k
-    assert len(memo) == cap
-    assert memo.get(0, lambda: "recomputed") == 0  # touched: now most recent
-    memo.get(cap, lambda: cap * cap)  # evicts 1, the least recently used
-    assert len(memo) == cap
-    assert memo.get(1, lambda: "recomputed") == "recomputed"
-    assert memo.get(0, lambda: "recomputed") == 0
-    assert len(memo) == cap
-    assert len(ideals._BASES) <= cap
+def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent(xy):
+    cached = ideals._cached_basis
+    cached.cache_clear()
+    order = degrevlex(2)
+    gens = [(parse_poly(xy, f"x^{k + 1} - y"),) for k in range(ideals.MEMO_CAP + 1)]
+    for g in gens[:-1]:
+        groebner_basis(g, order)
+    assert cached.cache_info().currsize == ideals.MEMO_CAP
+    groebner_basis(gens[0], order)  # a hit: now the most recently used
+    assert cached.cache_info().hits == 1
+    groebner_basis(gens[-1], order)  # evicts gens[1], the least recently used
+    assert cached.cache_info().currsize == ideals.MEMO_CAP
+    groebner_basis(gens[0], order)
+    assert cached.cache_info().hits == 2
+    groebner_basis(gens[1], order)  # computed again
+    assert cached.cache_info()[:2] == (2, ideals.MEMO_CAP + 2)
+    assert cached.cache_info().currsize == ideals.MEMO_CAP
+
+
+def test_every_memo_holds_memo_cap_entries():
+    for memo in (ideals._cached_basis, decomp.is_prime, decomp.radical):
+        assert memo.cache_info().maxsize == ideals.MEMO_CAP
 
 
 def test_memo_does_not_keep_a_resource_limit(monkeypatch):
-    memo = Memo()
-
-    def over_budget():
-        raise ResourceLimit("over budget")
-
-    with pytest.raises(ResourceLimit):
-        memo.get("k", over_budget)
-    assert len(memo) == 0
-    assert memo.get("k", lambda: "basis") == "basis"
-
     R = ring("a", "b", "c")
     gens = tuple(parse_many(R, ["a^4 + b^4 + c^4 - 1", "a^3*b - b^3*c + c^3*a",
                                 "a*b*c - a - b - c"]))
     monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=5, term_ops=200))
-    held = len(ideals._BASES)
+    held = ideals._cached_basis.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ResourceLimit):
             groebner_basis(gens, degrevlex(3))
-    assert len(ideals._BASES) == held
+    assert ideals._cached_basis.cache_info().currsize == held
 
 
 def test_memo_hit_returns_the_cold_basis(uxy):
+    cached = ideals._cached_basis
+    cached.cache_clear()
     gens = parse_many(uxy, ["u*y - x^2", "x^3 - u", "y^2*x - 1"])
     order = degrevlex(3)
-    cold = buchberger(gens, order)
-    first = groebner_basis(gens, order)
-    assert first == cold
-    assert groebner_basis(gens, order) is first  # served from the memo
-    assert Ideal(uxy, gens).groebner() is first
+    cold = groebner_basis(gens, order)
+    assert cached.cache_info()[:2] == (0, 1)
+    assert cold == buchberger(gens, order)
+    assert groebner_basis(gens, order) is cold  # served from the memo
+    assert Ideal(uxy, gens).groebner() is cold
+    assert cached.cache_info()[:2] == (2, 1)

@@ -6,7 +6,7 @@ from conftest import scene
 import lu.scenes
 from lu import ideals, pipeline
 from lu.errors import ResourceLimit, UnsupportedInstance
-from lu.ideals import Limits, Memo
+from lu.ideals import Limits
 from lu.pipeline import (
     _Budget,
     run_reduction,
@@ -218,7 +218,7 @@ def test_run_reduction_reports_a_resource_limit_as_budget_exceeded(monkeypatch):
     """Running out of the basis budget is not a refusal of the instance."""
     L, nu = load_scene("F2")
     # an empty memo, so the bases are computed under the small budget
-    monkeypatch.setattr(ideals, "_BASES", Memo())
+    ideals._cached_basis.cache_clear()
     monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
     trace = run_reduction(L, nu)
     assert trace.verdict == "BudgetExceeded"

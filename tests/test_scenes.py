@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,20 @@ def test_scene_validation_errors(mutate, needle):
     with pytest.raises(SceneError) as err:
         scene_from_dict(d)
     assert needle in str(err.value)
+
+
+def test_a_rank_above_the_number_of_variables_is_refused():
+    d = _cusp_dict()
+    d["valuation"]["weights"] = {}
+    d["valuation"]["rank"] = len(d["vars"]) + 1
+    with pytest.raises(SceneError, match="rank 3 exceeds the 2 variables"):
+        scene_from_dict(d)
+    # refused before any weight row is built
+    d["valuation"]["rank"] = 10**9
+    start = time.perf_counter()
+    with pytest.raises(SceneError, match="exceeds the 2 variables"):
+        scene_from_dict(d)
+    assert time.perf_counter() - start < 1
 
 
 def test_packaged_fixtures_load():
