@@ -28,6 +28,17 @@ the MEMO_CAP = 128 most recently used results.  It stores successful results
 only, so a ResourceLimit is raised again on the next request rather than
 cached, and its `cache_info()` counts the results reused (hits) and computed
 cold (misses).
+
+Leading data lives on the polynomials: `Polynomial.leading(order)` keeps its
+answer, with the order it was asked under, in the polynomial's `_lead` slot,
+and `scale` and `monic` hand it on to their result.  So `normal_form`,
+`s_polynomial`, `inter_reduce` and `buchberger` find each basis element's
+leading term once per order, not once per reduction it takes part in, and
+`buchberger` keeps them in an indexed list for its pair criteria.  The slot
+is not a fourth memo: its answer is fixed by an immutable value (a
+polynomial's terms never change after construction), it holds one entry,
+and it has no key beyond the order, so there is nothing to bound, evict or
+count.
 """
 
 import heapq

@@ -16,7 +16,9 @@ recursive descent stays far below the interpreter's recursion limit, and an
 integer literal has at most MAX_DIGITS digits, the interpreter's default
 limit for converting text to int.  A power is expanded only when its term
 count, bounded by the number of monomials of degree k in the base's t
-terms, is at most MAX_POWER_TERMS; a bigger one is a ResourceLimit.
+terms, is at most MAX_POWER_TERMS, and a product only when its factors'
+term counts multiply to at most MAX_PRODUCT_PAIRS, the pairs of terms it
+would multiply; a bigger one of either is a ResourceLimit.
 """
 
 import re
@@ -29,6 +31,7 @@ from .poly import EXP_CAP
 MAX_DEPTH = 100
 MAX_DIGITS = 4300
 MAX_POWER_TERMS = 1000
+MAX_PRODUCT_PAIRS = 100_000
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^()/])"
@@ -89,7 +92,14 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                pairs = len(acc.terms) * len(rhs.terms)
+                if pairs > MAX_PRODUCT_PAIRS:
+                    raise ResourceLimit(
+                        f"product of a {len(acc.terms)}-term and a {len(rhs.terms)}-term "
+                        f"polynomial multiplies more than {MAX_PRODUCT_PAIRS} pairs of terms"
+                    )
+                acc = acc * rhs
             else:
                 return acc
 

@@ -115,12 +115,21 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    """An element of `ring`: `terms` maps exponent tuples to nonzero coefficients.
+
+    A polynomial is an immutable value.  The constructor takes ownership of
+    `terms`, and nothing mutates that dict afterwards; every operation builds
+    a new one.  `leading` relies on this: it keeps its last answer, with the
+    order it was asked under, in `_lead`.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         # takes ownership of terms; callers guarantee no zero coefficients
         self.ring = ring
         self.terms = terms
+        self._lead = None
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -224,7 +233,12 @@ class Polynomial:
         if c == self.ring.field.zero:
             return self.ring.zero()
         F = self.ring.field
-        return Polynomial(self.ring, {e: F.mul(v, c) for e, v in self.terms.items()})
+        out = Polynomial(self.ring, {e: F.mul(v, c) for e, v in self.terms.items()})
+        if self._lead is not None:
+            # a nonzero scalar moves no monomial: the leading one stays
+            order, (e, _) = self._lead
+            out._lead = order, (e, out.terms[e])
+        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -239,17 +253,28 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def leading(self, order=None):
-        """(exponents, coefficient) of the biggest term, or None for zero."""
+        """(exponents, coefficient) of the biggest term, or None for zero.
+
+        Computed once per order: the answer for the last order asked is kept,
+        and an order that is, or equals, that one gets it back.
+        """
         if not self.terms:
             return None
         order = order or self.ring.canonical
+        lead = self._lead
+        if lead is not None and (lead[0] is order or lead[0] == order):
+            return lead[1]
         e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        lead = e, self.terms[e]
+        self._lead = order, lead
+        return lead
 
     def monic(self, order=None):
         if not self.terms:
             return self
         _, c = self.leading(order)
+        if c == self.ring.field.one:
+            return self
         return self.scale(self.ring.field.inv(c))
 
     def term_list(self, order=None):

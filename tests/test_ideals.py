@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from lu import decomp, ideals
 from lu.errors import ResourceLimit
-from lu.ideals import Ideal, Limits, buchberger, groebner_basis
-from lu.orders import degrevlex, elimination_order
+from lu.ideals import Ideal, Limits, buchberger, groebner_basis, normal_form
+from lu.orders import DegRevLex, degrevlex, elimination_order
 from lu.parse import parse_many, parse_poly
 
 from conftest import ideal, ring
@@ -211,3 +211,30 @@ def test_memo_hit_returns_the_cold_basis(uxy):
     assert groebner_basis(gens, order) is cold  # served from the memo
     assert Ideal(uxy, gens).groebner() is cold
     assert cached.cache_info()[:2] == (2, 1)
+
+
+class _CountingOrder:
+    """Degrevlex on two variables that counts the monomial keys it computes."""
+
+    arity = 2
+
+    def __init__(self):
+        self.keys = 0
+
+    def key(self, e):
+        self.keys += 1
+        return DegRevLex(2).key(e)
+
+
+def test_normal_form_finds_each_basis_leading_term_once(xy):
+    order = _CountingOrder()
+    basis = tuple(parse_many(xy, ["x^2 - y", "x*y - 1", "y^2 - x"]))
+    # the leading terms x^2, x*y and y^2 leave 1, x and y irreducible, so
+    # beyond the basis leading terms a call keys only the terms of f
+    rng = random.Random(11)
+    one, x, y = xy.one(), xy.var("x"), xy.var("y")
+    fs = [one.scale(rng.randint(-3, 3)) + x.scale(rng.randint(-3, 3)) + y.scale(rng.randint(1, 3))
+          for _ in range(200)]
+    for f in fs:
+        assert normal_form(f, basis, order) == f
+    assert order.keys == sum(len(g.terms) for g in basis) + sum(len(f.terms) for f in fs)

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lu.errors import ExponentOverflow, LuError, PolySyntaxError, UnknownVariable
+import lu.parse
+from lu.errors import ExponentOverflow, LuError, PolySyntaxError, ResourceLimit, UnknownVariable
 from lu.fields import GF, QQ
+from lu.orders import DegRevLex, Lex, PositionOverTerm, WeightRefined, degrevlex
 from lu.parse import MAX_DEPTH, parse_many, parse_poly
 from lu.poly import PolyRing
 
@@ -117,6 +120,19 @@ def test_parse_many_positions(xy):
     assert [f.text() for f in fs] == ["x", "y^2"]
 
 
+def test_parse_bounds_a_product_of_powers(xy, monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="more than 100000 pairs of terms"):
+        parse_poly(xy, "(1+x+y)^40*(1+x+y)^40")  # 861 * 861 pairs
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ResourceLimit):
+        parse_poly(xy, "(1+x+y)^40*(1+x+y)^40*(1+x+y)^40")
+    monkeypatch.setattr(lu.parse, "MAX_PRODUCT_PAIRS", 9)
+    assert len(parse_poly(xy, "(1+x+y)*(1+x+y)").terms) == 6  # 3 * 3 pairs
+    with pytest.raises(ResourceLimit, match="a 6-term and a 3-term"):
+        parse_poly(xy, "(1+x+y)*(1+x+y)*(1+x+y)")
+
+
 def _polys(R):
     names = st.sampled_from(R.names)
     exps = st.integers(min_value=0, max_value=4)
@@ -155,3 +171,43 @@ def test_text_parse_round_trip_random(data):
     R = ring("x", "y")
     f = data.draw(_polys(R))
     assert parse_poly(R, f.text()) == f
+
+
+# Orders on three variables, with equal but distinct objects and orders that
+# differ only in their tie-break.
+_ORDERS = (
+    Lex((0, 1, 2)),
+    Lex((2, 0, 1)),
+    degrevlex(3),
+    degrevlex(3),
+    WeightRefined(((1, 2, 0),), DegRevLex(3)),
+    WeightRefined(((1, 2, 0),), DegRevLex(3)),
+    WeightRefined(((1, 2, 0),), Lex((0, 1, 2))),
+    PositionOverTerm(degrevlex(2), 1),
+)
+
+
+def _assert_leading(p, order):
+    if p.is_zero():
+        assert p.leading(order) is None
+        return
+    e = max(p.terms, key=order.key)
+    assert p.leading(order) == (e, p.terms[e])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leading_is_the_biggest_term_under_any_interleaving_of_orders(data):
+    R = ring("x", "y", "z")
+    pool = data.draw(st.lists(_polys(R), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+        p = data.draw(st.sampled_from(pool))
+        q = data.draw(st.sampled_from(pool))
+        order = data.draw(st.sampled_from(_ORDERS))
+        _assert_leading(p, order)
+        c = data.draw(st.integers(min_value=1, max_value=3))
+        derived = [p.scale(c), p.scale(-c), p.monic(order), p.monic(), p + q, p * q, p - q, -p]
+        for r in derived:
+            for o in data.draw(st.permutations(_ORDERS)):
+                _assert_leading(r, o)
+        pool.extend(derived)
