@@ -42,7 +42,15 @@ def _print_steps(steps):
         print(f"{s.label}: b={s.blowup.b.text()} a=[{a}]{extra}")
 
 
+def _nonnegative(value, flag):
+    # argparse's own error exits 2, which means "unsupported" here
+    if value < 0:
+        raise LuError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _cmd_check(args):
+    samples = _nonnegative(args.samples, "--samples")
     L, nu = load_scene(args.scene)
     cls = certify(nu, L.defining, L.center)
     print(f"class: {cls}")
@@ -56,8 +64,8 @@ def _cmd_check(args):
         f"(embdim={reg.embedding_dimension}, dim={reg.dimension})"
     )
     print(f"normally flat: {flat.flat} (N={flat.length})")
-    bad = axiom_violations(nu, count=args.samples, seed=args.seed)
-    print(f"axiom samples: {len(bad)} violations in {args.samples}")
+    bad = axiom_violations(nu, count=samples, seed=args.seed)
+    print(f"axiom samples: {len(bad)} violations in {samples}")
     return 0 if not bad else 1
 
 
@@ -104,6 +112,7 @@ def _run_step(args, fn):
 
 
 def _cmd_run(args):
+    _nonnegative(args.budget, "--budget")
     L, nu = load_scene(args.scene)
     oracle = _ORACLES[args.oracle]
     trace = run_reduction(L, nu, oracle=oracle, budget=args.budget)

@@ -78,8 +78,11 @@ class Rationals:
         return self.div(1, a)
 
     def div(self, a, b):
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            return _canonical(a / b)
+        # int/int is the common case; isinstance(x, Fraction) goes through
+        # the numbers ABCs, so it runs only when the exact class test fails
+        if a.__class__ is not int or b.__class__ is not int:
+            if isinstance(a, Fraction) or isinstance(b, Fraction):
+                return _canonical(a / b)
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
 

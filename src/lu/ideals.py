@@ -39,13 +39,24 @@ is not a fourth memo: its answer is fixed by an immutable value (a
 polynomial's terms never change after construction), it holds one entry,
 and it has no key beyond the order, so there is nothing to bound, evict or
 count.
+
+Division reads reducer rows: `_reducer_rows` turns a basis into one row per
+element, (leading exps, leading coeff, tail items, size), and the one
+division loop in `normal_form` scans them.  The rows are built once per
+basis and order, in three places: `buchberger` extends its rows as its
+basis grows, `inter_reduce` builds them once for the minimal basis, and
+`Ideal.normal_form` keeps them in the instance's `_gb` entry for the order,
+next to the basis, built at the first normal form.  They are not a new memo
+either: they live and die with that entry, have no key of their own and
+nothing to evict.  A call from outside the module passes a plain basis and
+gets its rows built for that call.
 """
 
 import heapq
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import le, mul
 
 from .errors import LuError, ResourceLimit
 from .orders import degrevlex, elimination_order
@@ -107,7 +118,20 @@ class _Meter:
             )
 
 
-def normal_form(f, basis, order, meter=None):
+def _reducer_rows(basis, order):
+    """One reducer row per basis element: (leading exps, leading coeff, tail, size).
+
+    The tail is the element's other terms as (exps, coeff) items; size is its
+    term count, the cost `normal_form` charges for one reduction step.
+    """
+    rows = []
+    for g in basis:
+        eg, cg = g.leading(order)
+        rows.append((eg, cg, [t for t in g.terms.items() if t[0] != eg], len(g.terms)))
+    return rows
+
+
+def normal_form(f, basis, order, meter=None, rows=None):
     """Remainder of f under full division by basis (head and tail reduction).
 
     Monomials are processed biggest first; the reducer is the first basis
@@ -117,18 +141,19 @@ def normal_form(f, basis, order, meter=None):
     to process sit in a list of (key, exponents) sorted biggest last, a
     monomial new to the remainder is inserted in place, and an entry whose
     term has cancelled since is skipped when it comes up.
+
+    `rows` are the basis's `_reducer_rows` under `order`, passed by callers
+    in this module that reduce many polynomials against one basis; without
+    them the rows are built here.
     """
     if f.is_zero() or not basis:
         return f
+    if rows is None:
+        rows = _reducer_rows(basis, order)
     ring = f.ring
     F = ring.field
     zero = F.zero
     key = order.key
-    lts = []
-    for g in basis:
-        eg, cg = g.leading(order)
-        tail = [(e2, c2) for e2, c2 in g.terms.items() if e2 != eg]
-        lts.append((eg, cg, tail, len(g.terms)))
     rem = {}
     p = dict(f.terms)
     todo = sorted((key(e), e) for e in p)
@@ -137,15 +162,12 @@ def normal_form(f, basis, order, meter=None):
         c = p.pop(e, None)
         if c is None:
             continue  # cancelled after it was queued
-        hit = None
-        for lt in lts:
-            if mono_divides(lt[0], e):
-                hit = lt
+        for eg, cg, tail, size in rows:
+            if all(map(le, eg, e)):
                 break
-        if hit is None:
+        else:
             rem[e] = c
             continue
-        eg, cg, tail, size = hit
         if meter:
             meter.charge(size)
         # p -= (c/cg) * x^(e - eg) * tail
@@ -167,13 +189,31 @@ def normal_form(f, basis, order, meter=None):
 
 
 def s_polynomial(f, g, order):
+    """mf*f - mg*g with mf, mg the monomials that lift both leading terms to
+    their lcm with coefficient 1, built straight from the two shifted tails
+    (the leading terms cancel)."""
     (ef, cf) = f.leading(order)
     (eg, cg) = g.leading(order)
     l = mono_lcm(ef, eg)
     F = f.ring.field
-    mf = Polynomial(f.ring, {mono_div(l, ef): F.inv(cf)})
-    mg = Polynomial(g.ring, {mono_div(l, eg): F.inv(cg)})
-    return mf * f - mg * g
+    zero = F.zero
+    sf, af = mono_div(l, ef), F.inv(cf)
+    sg, ag = mono_div(l, eg), F.neg(F.inv(cg))
+    t = {mono_mul(e, sf): F.mul(c, af) for e, c in f.terms.items() if e != ef}
+    for e, c in g.terms.items():
+        if e == eg:
+            continue
+        e3 = mono_mul(e, sg)
+        old = t.get(e3)
+        if old is None:
+            t[e3] = F.mul(c, ag)
+            continue
+        s = F.add(old, F.mul(c, ag))
+        if s == zero:
+            del t[e3]
+        else:
+            t[e3] = s
+    return Polynomial(f.ring, t)
 
 
 def inter_reduce(G, order):
@@ -189,10 +229,11 @@ def inter_reduce(G, order):
             for k, eh in enumerate(lead)
         )
     ]
+    rows = _reducer_rows(keep, order)
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, order)
+        r = normal_form(g, others, order, rows=rows[:i] + rows[i + 1 :])
         out.append(r.monic(order))
     out.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     return tuple(out)
@@ -210,19 +251,23 @@ def buchberger(gens, order):
         return ()
 
     position = getattr(order, "position", None)
-    lead = [g.leading(order)[0] for g in G]  # grows with G
+    # per element of G, growing with it: leading exps, their degree, the
+    # position of the leading term, sugar and reducer row
+    lead = [g.leading(order)[0] for g in G]
+    ldeg = [mono_deg(li) for li in lead]
+    pos = [position(li) for li in lead] if position else None
     sugar = [g.degree() for g in G]
+    rows = _reducer_rows(G, order)
     pending = set()
     heap = []
 
     def push_pair(i, j):
-        li, lj = lead[i], lead[j]
-        if position and position(li) != position(lj):
+        if pos and pos[i] != pos[j]:
             return
-        l = mono_lcm(li, lj)
+        l = mono_lcm(lead[i], lead[j])
         dl = mono_deg(l)
-        s = max(sugar[i] + dl - mono_deg(li), sugar[j] + dl - mono_deg(lj))
-        heapq.heappush(heap, (s, dl, i, j))
+        s = max(sugar[i] + dl - ldeg[i], sugar[j] + dl - ldeg[j])
+        heapq.heappush(heap, (s, dl, i, j, l))
         pending.add((i, j))
 
     for j in range(len(G)):
@@ -230,36 +275,39 @@ def buchberger(gens, order):
             push_pair(i, j)
 
     while heap:
-        s, _, i, j = heapq.heappop(heap)
+        s, dl, i, j, l = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        li, lj = lead[i], lead[j]
-        l = mono_lcm(li, lj)
-        if l == mono_mul(li, lj):
+        if dl == ldeg[i] + ldeg[j]:
             continue  # coprime leading terms reduce to zero
-        chained = False
+        # chain criterion: some other leading term divides the lcm and
+        # neither of its pairs with i and j is still pending
         for k, lk in enumerate(lead):
-            if k == i or k == j:
+            if (
+                k != i
+                and k != j
+                and all(map(le, lk, l))
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+            ):
+                break
+        else:
+            meter.step_reduction()
+            h = normal_form(s_polynomial(G[i], G[j], order), G, order, meter, rows)
+            if h.is_zero():
                 continue
-            if mono_divides(lk, l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    chained = True
-                    break
-        if chained:
-            continue
-        meter.step_reduction()
-        h = normal_form(s_polynomial(G[i], G[j], order), G, order, meter)
-        if h.is_zero():
-            continue
-        G.append(h.monic(order))
-        lead.append(G[-1].leading(order)[0])
-        sugar.append(max(s, h.degree()))
-        new = len(G) - 1
-        for i2 in range(new):
-            push_pair(i2, new)
+            g = h.monic(order)
+            G.append(g)
+            lead.append(g.leading(order)[0])
+            ldeg.append(mono_deg(lead[-1]))
+            if pos:
+                pos.append(position(lead[-1]))
+            sugar.append(max(s, h.degree()))
+            rows.extend(_reducer_rows((g,), order))
+            new = len(G) - 1
+            for i2 in range(new):
+                push_pair(i2, new)
 
     return inter_reduce(G, order)
 
@@ -267,10 +315,11 @@ def buchberger(gens, order):
 class Ideal:
     """A finitely generated ideal with cached reduced bases per order.
 
-    Each instance keeps the bases it has asked for, one per order.  A miss
-    there goes to the shared `groebner_basis` memo (at most MEMO_CAP bases,
-    least recently used dropped first), so ideals with the same generator
-    tuple share one computation.
+    Each instance keeps the bases it has asked for, one per order, each with
+    its reducer rows once a normal form has needed them.  A miss there goes
+    to the shared `groebner_basis` memo (at most MEMO_CAP bases, least
+    recently used dropped first), so ideals with the same generator tuple
+    share one computation.
     """
 
     __slots__ = ("ring", "gens", "_gb")
@@ -292,11 +341,15 @@ class Ideal:
         inner = ", ".join(g.text() for g in self.gens) or "0"
         return f"Ideal({inner})"
 
+    def _entry(self, order):
+        # [basis, reducer rows or None until the first normal form]
+        entry = self._gb.get(order)
+        if entry is None:
+            entry = self._gb[order] = [groebner_basis(self.gens, order), None]
+        return entry
+
     def groebner(self, order=None):
-        order = order or degrevlex(self.ring.n)
-        if order not in self._gb:
-            self._gb[order] = groebner_basis(self.gens, order)
-        return self._gb[order]
+        return self._entry(order or degrevlex(self.ring.n))[0]
 
     def canonical_gb(self):
         return self.groebner(self.ring.canonical)
@@ -306,7 +359,10 @@ class Ideal:
 
     def normal_form(self, f, order=None):
         order = order or degrevlex(self.ring.n)
-        return normal_form(f, self.groebner(order), order)
+        entry = self._entry(order)
+        if entry[1] is None:
+            entry[1] = _reducer_rows(entry[0], order)
+        return normal_form(f, entry[0], order, rows=entry[1])
 
     def contains(self, f):
         return self.normal_form(f).is_zero()

@@ -473,7 +473,8 @@ def _reduce(L, nu, oracle, budget, steps):
 
 
 def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
-    """Drive the full reduction; never raises except for isomorphism failures.
+    """Drive the full reduction; raises only for a negative `budget` (a
+    LuError, before any work) and for isomorphism failures.
 
     `oracle(L, nu)` is the rank one hypothesis: given a rank one chart that
     is not yet uniformized, it returns the next LocalBlowup of L (the toric
@@ -482,6 +483,8 @@ def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
     BudgetExceeded: more than `budget` blowups, or a basis computation that
     ran out of `ideals.BUDGET` (the reason says which).
     """
+    if budget < 0:
+        raise LuError(f"the blowup budget must be nonnegative, got {budget}")
     steps = []
     pool = _Budget(budget)
     try:

@@ -276,8 +276,11 @@ def axiom_violations(nu, count=200, seed=0xC0FFEE):
 
     Distinct values sharpen the inequality to an equality, and that is
     checked too.  Returns a list of (axiom, f, g) triples that failed;
-    empty means the sample saw no violation.
+    empty means the sample saw no violation.  A negative count is a
+    LuError: a check that cannot run must not read as a pass.
     """
+    if count < 0:
+        raise LuError(f"the sample count must be nonnegative, got {count}")
     rng = random.Random(seed)
     bad = []
     for _ in range(count):

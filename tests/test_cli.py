@@ -74,6 +74,18 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["run", "F1", "--budget", "-5"], "--budget"),
+     (["check", "F1", "--samples", "-3"], "--samples")],
+)
+def test_a_negative_count_flag_exits_1_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert f"error: {flag} must be nonnegative" in out.err
+    assert out.out == ""
+
+
 def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", _cusp_file(tmp_path)]) == 0
     assert main(["run", "F2", "--budget", "0"]) == 3

@@ -5,7 +5,7 @@ from conftest import scene
 
 import lu.scenes
 from lu import ideals, pipeline
-from lu.errors import ResourceLimit, UnsupportedInstance
+from lu.errors import LuError, ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits
 from lu.pipeline import (
     _Budget,
@@ -202,6 +202,14 @@ def test_run_reduction_respects_the_budget():
     assert trace.verdict == "BudgetExceeded"
     assert trace.reason == "more than 0 blowups"
     assert trace.steps == []
+
+
+def test_a_negative_budget_is_an_input_error_before_any_work():
+    L, nu = _fat_cone()
+    ideals._cached_basis.cache_clear()
+    with pytest.raises(LuError, match="budget must be nonnegative, got -5"):
+        run_reduction(L, nu, budget=-5)
+    assert ideals._cached_basis.cache_info().misses == 0
 
 
 def test_an_empty_blowup_pool_is_a_resource_limit():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from conftest import scene
 
 from lu.errors import (
@@ -214,6 +216,12 @@ def test_axiom_sampling_sees_no_violations():
     for builder in (_fat_cone_scene, _whitney_scene, _cusp_scene):
         _, nu = builder()
         assert axiom_violations(nu, count=60) == []
+
+
+def test_a_negative_sample_count_is_an_input_error():
+    _, nu = _cusp_scene()
+    with pytest.raises(LuError, match="sample count must be nonnegative, got -3"):
+        axiom_violations(nu, count=-3)
 
 
 def test_truncation_commutes_with_the_split():
