@@ -50,6 +50,18 @@ next to the basis, built at the first normal form.  They are not a new memo
 either: they live and die with that entry, have no key of their own and
 nothing to evict.  A call from outside the module passes a plain basis and
 gets its rows built for that call.
+
+Division keys only the monomials whose order matters.  `normal_form`
+classifies each monomial once, on its first arrival, by the reducer that
+scan finds: an irreducible monomial goes straight into the remainder, and
+one whose reducer is a monomial generator is set aside, since reducing it
+only removes it; neither gets an order key.  Only a monomial whose reducer
+has a tail is keyed and queued, biggest first.  The reductions, their
+order and coefficients, and the meter's count are those of plain
+biggest-first division: a set-aside monomial is charged the generator's
+size, 1, at the end of the call, when its coefficient is still nonzero, as
+plain division charges it when it comes up.  So a normal form against a
+basis of variables, the support of a valuation on F1 or F2, keys nothing.
 """
 
 import heapq
@@ -134,13 +146,31 @@ def _reducer_rows(basis, order):
 def normal_form(f, basis, order, meter=None, rows=None):
     """Remainder of f under full division by basis (head and tail reduction).
 
-    Monomials are processed biggest first; the reducer is the first basis
+    Monomials are reduced biggest first; the reducer is the first basis
     element whose leading term divides, so the result is deterministic for a
     fixed basis tuple; for a Groebner basis it does not depend on the choice
-    at all.  Each monomial's order key is computed once: the monomials still
-    to process sit in a list of (key, exponents) sorted biggest last, a
-    monomial new to the remainder is inserted in place, and an entry whose
-    term has cancelled since is skipped when it comes up.
+    at all.
+
+    Each monomial is classified once, when it first arrives from f or from a
+    reducer's tail, by one scan of the reducer rows:
+
+    - no leading term divides it: it is irreducible and goes straight into
+      the remainder, where later contributions add up;
+    - its reducer has no tail (a monomial generator): reducing it only
+      removes it, so it is set aside with its coefficient;
+    - otherwise it is queued for reduction, in a list of (key, exps, row)
+      sorted biggest last.
+
+    Only the queued monomials get an order key, since reduction order
+    matters only among reductions that add terms; a basis of monomials
+    keys nothing.  A queued monomial that has cancelled by the time it
+    comes up is skipped, and one that comes up never arrives again, as
+    every contribution is smaller.  So the reductions, their order and
+    their coefficients are those of the plain biggest-first division, and
+    so is the meter's count: a reduction charges the reducer's size, and a
+    monomial generator, size 1, is charged at the end for each set-aside
+    monomial whose coefficient is still nonzero.  Only the order in which
+    the remainder's terms sit in its dict differs.
 
     `rows` are the basis's `_reducer_rows` under `order`, passed by callers
     in this module that reduce many polynomials against one basis; without
@@ -153,39 +183,49 @@ def normal_form(f, basis, order, meter=None, rows=None):
     ring = f.ring
     F = ring.field
     zero = F.zero
+    add, fmul = F.add, F.mul
     key = order.key
-    rem = {}
-    p = dict(f.terms)
-    todo = sorted((key(e), e) for e in p)
-    while todo:
-        e = todo.pop()[1]
-        c = p.pop(e, None)
-        if c is None:
-            continue  # cancelled after it was queued
-        for eg, cg, tail, size in rows:
-            if all(map(le, eg, e)):
+    rem, aside, pending, todo = {}, {}, {}, []
+    arrivals = f.terms.items()
+    while True:
+        for e, c in arrivals:
+            if e in pending:
+                pending[e] = add(pending[e], c)
+            elif e in rem:
+                rem[e] = add(rem[e], c)
+            elif e in aside:
+                aside[e] = add(aside[e], c)
+            else:
+                for row in rows:
+                    if all(map(le, row[0], e)):
+                        break
+                else:
+                    rem[e] = c
+                    continue
+                if row[2]:
+                    pending[e] = c
+                    insort(todo, (key(e), e, row))
+                else:
+                    aside[e] = c
+        while todo:
+            _, e, row = todo.pop()
+            c = pending.pop(e)
+            if c != zero:
                 break
         else:
-            rem[e] = c
-            continue
+            break
+        eg, cg, tail, size = row
         if meter:
             meter.charge(size)
-        # p -= (c/cg) * x^(e - eg) * tail
+        # what f - (c/cg) * x^(e - eg) * g adds below e
         shift = mono_div(e, eg)
         scale = F.neg(F.div(c, cg))
-        for e2, c2 in tail:
-            e3 = mono_mul(e2, shift)
-            old = p.get(e3)
-            if old is None:
-                p[e3] = F.mul(c2, scale)
-                insort(todo, (key(e3), e3))
-                continue
-            s = F.add(old, F.mul(c2, scale))
-            if s == zero:
-                del p[e3]
-            else:
-                p[e3] = s
-    return Polynomial(ring, rem)
+        arrivals = [(mono_mul(e2, shift), fmul(c2, scale)) for e2, c2 in tail]
+    if meter:
+        left = sum(1 for c in aside.values() if c != zero)
+        if left:
+            meter.charge(left)
+    return Polynomial(ring, {e: c for e, c in rem.items() if c != zero})
 
 
 def s_polynomial(f, g, order):

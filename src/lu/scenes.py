@@ -19,7 +19,7 @@ from .localring import LocalRing, is_normally_flat, is_regular_local, nilpotent_
 from .parse import parse_many, parse_poly
 from .poly import PolyRing
 from .blowup import local_blowup
-from .pipeline import UNIFORMIZED
+from .pipeline import BUDGET_EXCEEDED, UNIFORMIZED, UNSUPPORTED
 from .valuations import WeightValuation
 
 _FIXTURE = re.compile(r"^F[1-9][0-9]*$")
@@ -181,6 +181,10 @@ def write_trace(trace, path):
 def replay_trace(source, trace_json):
     """Re-apply a trace's blowups to its scene and compare every chart.
 
+    It also checks what the trace claims without recomputing it: the
+    verdict is one a run can give, and a Uniformized verdict comes with a
+    final chart recorded as regular and normally flat.
+
     Returns the list of mismatch descriptions; empty means the replay
     reproduced the recorded charts exactly.
     """
@@ -206,4 +210,11 @@ def replay_trace(source, trace_json):
         problems.append(f"final: chart ideal {got_gb} != {final['ideal_gb']}")
     if got_center != final["center_gb"]:
         problems.append(f"final: center {got_center} != {final['center_gb']}")
+    verdict = data.get("verdict")
+    if verdict not in (UNIFORMIZED, UNSUPPORTED, BUDGET_EXCEEDED):
+        problems.append(f"verdict {verdict!r} is not a verdict a run gives")
+    elif verdict == UNIFORMIZED:
+        for fact in ("regular", "normally_flat"):
+            if final.get(fact) is not True:
+                problems.append(f"final: {fact} is {final.get(fact)!r} in a Uniformized trace")
     return problems

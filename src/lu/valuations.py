@@ -12,7 +12,7 @@ refuses anything else rather than returning values that may undershoot.
 """
 
 import random
-from operator import mul
+from operator import add, mul
 
 from .decomp import NOT_PRIME, is_prime, minimal_primes
 from .errors import (
@@ -39,6 +39,13 @@ class Value:
     @classmethod
     def infinite(cls):
         return cls(None)
+
+    @classmethod
+    def _of(cls, vec):
+        """A finite value from a tuple of ints, taken as it is."""
+        v = object.__new__(cls)
+        v.vec = vec
+        return v
 
     @property
     def is_infinite(self):
@@ -71,7 +78,7 @@ class Value:
     def __add__(self, other):
         if self.is_infinite or other.is_infinite:
             return Value(None)
-        return Value(tuple(a + b for a, b in zip(self.vec, other.vec)))
+        return Value._of(tuple(map(add, self.vec, other.vec)))
 
     def __sub__(self, other):
         if other.is_infinite:
@@ -137,10 +144,17 @@ class WeightValuation:
         return tuple(sum(map(mul, r, e)) for r in self.rows)
 
     def value_of(self, f):
+        """The least weight vector among the monomials of f's normal form.
+
+        Each row weighs every monomial in one pass, and zip pairs the rows'
+        weights into vectors.
+        """
         nf = self.support.normal_form(f, self._order)
         if nf.is_zero():
             return Value(None)
-        return Value(min(self.weight_of_exps(e) for e in nf.terms))
+        terms = nf.terms
+        weights = [[sum(map(mul, r, e)) for e in terms] for r in self.rows]
+        return Value._of(min(zip(*weights)))
 
     def __repr__(self):
         w = "; ".join(",".join(str(x) for x in r) for r in self.rows)
@@ -252,18 +266,49 @@ def sample_polynomials(ring, rng, max_deg=4, max_terms=4):
 
     Each of up to max_terms terms gets up to max_deg variable factors and a
     coefficient in [-3, 3]; terms that land on one monomial are summed.
+
+    The draws are those of rng.randint(1, max_terms) for the term count,
+    rng.randint(0, max_deg) per term for its factor count, rng.randrange(n)
+    per factor and rng.randint(-3, 3) per coefficient, made here by the
+    rejection sampling those methods use in CPython 3.10-3.13: draw
+    getrandbits(m.bit_length()) until it is below the range's width m.  So
+    a seed gives the same polynomials as those methods would, at a fraction
+    of the calls.  A width of 0 would never be left, and is refused first.
     """
-    F = ring.field
     n = ring.n
+    if n < 1:
+        raise LuError("cannot sample polynomials in a ring with no variables")
+    if max_terms < 1:
+        raise LuError(f"max_terms must be at least 1, got {max_terms}")
+    if max_deg < 0:
+        raise LuError(f"max_deg must be nonnegative, got {max_deg}")
+    F = ring.field
+    zero = F.zero
+    bits = rng.getrandbits
+    k_terms = max_terms.bit_length()
+    k_deg = (max_deg + 1).bit_length()
+    k_var = n.bit_length()
     while True:
         t = {}
-        for _ in range(rng.randint(1, max_terms)):
+        r = bits(k_terms)  # randint(1, max_terms) - 1
+        while r >= max_terms:
+            r = bits(k_terms)
+        for _ in range(r + 1):
             e = [0] * n
-            for _ in range(rng.randint(0, max_deg)):
-                e[rng.randrange(n)] += 1
+            d = bits(k_deg)  # randint(0, max_deg)
+            while d > max_deg:
+                d = bits(k_deg)
+            for _ in range(d):
+                i = bits(k_var)  # randrange(n)
+                while i >= n:
+                    i = bits(k_var)
+                e[i] += 1
             e = tuple(e)
-            s = F.add(t.get(e, F.zero), F.coerce(rng.randint(-3, 3)))
-            if s == F.zero:
+            c = bits(3)  # randint(-3, 3) + 3: 7 values, 3 bits
+            while c >= 7:
+                c = bits(3)
+            s = F.add(t.get(e, zero), F.coerce(c - 3))
+            if s == zero:
                 t.pop(e, None)
             else:
                 t[e] = s

@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lu import decomp, ideals
 from lu.fields import GF, QQ
-from lu.ideals import buchberger, normal_form, s_polynomial
+from lu.errors import ResourceLimit
+from lu.ideals import Limits, buchberger, normal_form, s_polynomial
 from lu.orders import DegRevLex, Lex, PositionOverTerm, WeightRefined
 from lu.pipeline import run_reduction
 from lu.poly import (
@@ -47,8 +48,8 @@ _each_setting = pytest.mark.parametrize(
 
 
 @st.composite
-def _polys(draw, setting, count):
-    """`count` nonzero polynomials of the setting's ring."""
+def _polys(draw, setting, count, max_terms=3):
+    """`count` nonzero polynomials of the setting's ring, of 1 to `max_terms` terms."""
     field, names, order, positions = setting
     R = PolyRing(field, names)
     n = len(names) - positions
@@ -60,7 +61,7 @@ def _polys(draw, setting, count):
     polys = []
     for _ in range(count):
         acc = R.zero()
-        for c, e, k in draw(st.lists(term, min_size=1, max_size=3)):
+        for c, e, k in draw(st.lists(term, min_size=1, max_size=max_terms)):
             tag = tuple(int(i == k) for i in range(positions))
             acc = acc + R.monomial(tuple(e) + tag, c)
         assume(not acc.is_zero())
@@ -74,7 +75,8 @@ def _monomial_factor(ring, target, lt):
     return ring.monomial(mono_div(target, e), ring.field.inv(c))
 
 
-def _reference_normal_form(f, basis, order):
+def _reference_normal_form(f, basis, order, meter=None):
+    # a reduction step charges the meter the reducer's term count
     ring, F = f.ring, f.ring.field
     rem = {}
     while not f.is_zero():
@@ -82,6 +84,8 @@ def _reference_normal_form(f, basis, order):
         for g in basis:
             eg, cg = g.leading(order)
             if mono_divides(eg, e):
+                if meter:
+                    meter.charge(len(g.terms))
                 f = f - g * ring.monomial(mono_div(e, eg), F.div(c, cg))
                 break
         else:
@@ -183,6 +187,61 @@ def test_normal_form_against_prebuilt_rows_equals_the_plain_basis(setting, data)
     f = basis[0] * a.ring.monomial(tuple(shift) + (0,) * positions) + a + b
     nf = normal_form(f, basis, order, rows=rows)
     assert nf == normal_form(f, basis, order) == _reference_normal_form(f, basis, order)
+
+
+def _metered(nf, f, basis, order, term_ops=None):
+    """(remainder or None when the budget trips, term operations charged)."""
+    meter = ideals._Meter()
+    if term_ops is not None:
+        meter.limits = Limits(term_ops=term_ops)
+    try:
+        return nf(f, basis, order, meter), meter.term_ops
+    except ResourceLimit:
+        return None, meter.term_ops
+
+
+@_each_setting
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_normal_form_charges_what_plain_division_charges(setting, data):
+    """Monomial generators are set aside unkeyed, yet the remainder, the
+    term operations and the budget that trips are those of plain division."""
+    _, names, order, positions = setting
+    # a basis of monomials only, or of monomials and binomials mixed
+    max_terms = data.draw(st.sampled_from((1, 2)))
+    basis = data.draw(_polys(setting, data.draw(st.integers(1, 4)), max_terms))
+    (a,) = data.draw(_polys(setting, 1))
+    # tag-free multiples of the basis elements, so that the leading terms
+    # of f need reducing and their tails contribute to one another
+    ring, n = a.ring, len(names) - positions
+    f = a
+    for g in basis:
+        shift = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        f = f + g * ring.monomial(tuple(shift) + (0,) * positions,
+                                  data.draw(st.sampled_from((-1, 1, 2))))
+    expected, ops = _metered(_reference_normal_form, f, basis, order)
+    assert _metered(normal_form, f, basis, order) == (expected, ops)
+    for budget in range(max(ops - 1, 0), ops + 1):
+        tripped = _metered(normal_form, f, basis, order, budget)[0] is None
+        assert tripped == (_metered(_reference_normal_form, f, basis, order, budget)[0] is None)
+        assert tripped == (budget < ops)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_a_set_aside_monomial_is_charged_only_if_it_survives(field):
+    """x*z is set aside as a multiple of the generator x; reducing y^2 by
+    y^2 + x*z then adds -x*z to it.  Plain division charges 1 for it only
+    when its coefficient is still nonzero when it comes up."""
+    R = PolyRing(field, ("x", "y", "z"))
+    order = DegRevLex(3)
+    x, xz, y2 = R.monomial((1, 0, 0)), R.monomial((1, 0, 1)), R.monomial((0, 2, 0))
+    basis = (x, y2 + xz)
+    for f, ops in ((y2 + xz, 2), (y2 + xz.scale(2), 3), (y2 + xz.scale(2) + R.one(), 3)):
+        expected = _metered(_reference_normal_form, f, basis, order)
+        assert expected[1] == ops
+        assert _metered(normal_form, f, basis, order) == expected
+        assert _metered(normal_form, f, basis, order, ops - 1) == (None, ops)
+        assert _metered(normal_form, f, basis, order, ops)[0] == expected[0]
 
 
 @_each_setting

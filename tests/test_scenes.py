@@ -204,6 +204,39 @@ def test_every_golden_trace_matches_its_sha256():
     assert wrong == []
 
 
+GOLDEN_TRACES = BENCH / "golden" / "traces"
+
+
+def test_every_golden_trace_replays_clean():
+    workloads = _bench_workloads()
+    sources = {name: name for name in ("F1", "F2", "F3")}
+    sources.update((op["key"], op["scene"])
+                   for op in (workloads.cusp(a, b) for a, b in workloads.REPLAY_CUSPS))
+    assert sorted(sources) == sorted(workloads.replay_universe())
+    for key, source in sources.items():
+        text = (GOLDEN_TRACES / (key.replace("/", "_") + ".json")).read_text()
+        assert replay_trace(source, text) == [], key
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("final", "regular", False),
+        ("final", "normally_flat", None),
+        ("final", "regular", "true"),
+        (None, "verdict", "Uniformised"),
+        (None, "verdict", None),
+    ],
+)
+def test_replay_catches_a_claim_the_trace_cannot_make(section, field, value):
+    """F2's golden trace with a final fact or its verdict tampered with."""
+    data = json.loads((GOLDEN_TRACES / "F2.json").read_text())
+    assert data["verdict"] == "Uniformized"
+    (data[section] if section else data)[field] = value
+    problems = replay_trace("F2", json.dumps(data))
+    assert len(problems) == 1 and field in problems[0]
+
+
 def test_only_refusals_become_null_facts(monkeypatch):
     """An Unsupported trace writes a refused fact as null; any other error still shows."""
     trace = run_reduction(*scene_from_dict(dict(_cusp_dict(), field={"Fp": 7})))

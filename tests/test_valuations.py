@@ -14,7 +14,9 @@ from lu.errors import (
     UnsupportedInstance,
 )
 from lu.fields import GF, QQ
+from lu.orders import WeightRefined
 from lu.poly import PolyRing
+from lu.scenes import load_scene
 from lu.valuations import (
     Value,
     axiom_violations,
@@ -256,3 +258,44 @@ def test_sampler_draws_what_the_reference_draws():
         for _ in range(20000):
             assert sample_polynomials(R, fast) == _reference_sample(R, slow)
         assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_terms": 0}, {"max_deg": -1}], ids=["max_terms", "max_deg"]
+)
+def test_the_sampler_refuses_an_empty_range_before_drawing(kwargs):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(LuError):
+        sample_polynomials(PolyRing(QQ, ["x"]), rng, **kwargs)
+    assert rng.getstate() == state
+
+
+def test_the_sampler_refuses_a_ring_without_variables():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(LuError, match="no variables"):
+        sample_polynomials(PolyRing(QQ, []), rng)
+    assert rng.getstate() == state
+
+
+def test_value_of_on_a_variable_support_computes_no_order_key(monkeypatch):
+    """F2's support is generated by variables, so every monomial of f is
+    either irreducible or set aside, and none needs an order key."""
+    _, nu = load_scene("F2")
+    assert support_class(nu) == "variables"
+    nu.value_of(nu.ring.one())  # finds the support basis's leading terms
+    keyed = []
+    key = WeightRefined.key
+
+    def counting(order, e):
+        keyed.append(e)
+        return key(order, e)
+
+    monkeypatch.setattr(WeightRefined, "key", counting)
+    rng = random.Random(3)
+    values = []
+    for _ in range(100):
+        f, g = sample_polynomials(nu.ring, rng), sample_polynomials(nu.ring, rng)
+        values.append(nu.value_of(f * g) == nu.value_of(f) + nu.value_of(g))
+    assert all(values) and keyed == []
