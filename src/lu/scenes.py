@@ -215,6 +215,7 @@ def replay_trace(source, trace_json):
         problems.append(f"verdict {verdict!r} is not a verdict a run gives")
     elif verdict == UNIFORMIZED:
         for fact in ("regular", "normally_flat"):
-            if final.get(fact) is not True:
-                problems.append(f"final: {fact} is {final.get(fact)!r} in a Uniformized trace")
+            claimed = final.get(fact)
+            if claimed is not True:
+                problems.append(f"final: {fact} is {claimed!r} in a Uniformized trace")
     return problems
