@@ -35,6 +35,7 @@ from .blowup import (
 )
 from .pipeline import (
     ReductionTrace,
+    Run,
     TraceStep,
     run_reduction,
     step1,
@@ -58,6 +59,7 @@ __all__ = [
     "PolySyntaxError",
     "QQ",
     "ReductionTrace",
+    "Run",
     "SceneError",
     "TraceStep",
     "UnsupportedInstance",

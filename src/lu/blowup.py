@@ -256,12 +256,12 @@ def compose(B1, B2):
     return LocalBlowup(B1.source, B2.chart, bstar, astar, old_ts, N)
 
 
-def lift_from_localization(L, nu, r, b, a_list):
+def lift_from_localization(L, nu, b, a_list):
     """Rebuild a blowup found over the localized ring as one over L.
 
-    The localized run controls only the first r rows of the value, so the
+    The localized run controls only the first row of the value, so the
     denominator may have to swap with a generator of smaller full value; the
-    swap is legal exactly when the first r rows cannot see it, and the old
+    swap is legal exactly when the first row cannot see it, and the old
     chart relations are re-verified in the new chart.
     """
     ring = L.ring
@@ -275,7 +275,7 @@ def lift_from_localization(L, nu, r, b, a_list):
             k = i
     if k == 0:
         return local_blowup(L, b, a_list, nu=nu)
-    if not (vals[0] - vals[k]).truncate(r).is_zero:
+    if not (vals[0] - vals[k]).truncate(1).is_zero:
         raise IsomorphismCheckFailed(
             "denominator swap would already change the localized chart"
         )

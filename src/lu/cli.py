@@ -2,32 +2,23 @@
 
 Every command takes a scene: a JSON file path or a packaged fixture name
 (F1..F4).  Exit codes: 0 success or Uniformized, 1 input or certification
-error, 2 unsupported instance or Unsupported verdict, 3 budget exceeded (a
-BudgetExceeded verdict, or a ResourceLimit: a basis computation out of its
-budget, or a step command out of blowups in the pool).
+error (a usage error included), 2 unsupported instance or Unsupported
+verdict, 3 budget exceeded (a BudgetExceeded verdict, or a ResourceLimit: a
+basis computation out of its budget, or a step command out of blowups in
+the pool).
 """
 
 import argparse
 import sys
 
+from . import pipeline
 from .errors import LuError, ResourceLimit, UnsupportedInstance
 from .localring import is_normally_flat, is_regular_local
-from .pipeline import (
-    BLOWUP_POOL,
-    BUDGET_EXCEEDED,
-    UNIFORMIZED,
-    run_reduction,
-    step1,
-    step2,
-    step3,
-    toric_uniformizer,
-)
+from .pipeline import BUDGET_EXCEEDED, UNIFORMIZED, Run, run_reduction, step1, step2, step3
 from .parse import parse_poly
 from .scenes import load_scene, write_trace
 from .blowup import local_blowup, transport_through_blowup, verify_center_isos
 from .valuations import axiom_violations, certify
-
-_ORACLES = {"toric": toric_uniformizer}
 
 
 def _print_state(L):
@@ -43,7 +34,7 @@ def _print_steps(steps):
 
 
 def _nonnegative(value, flag):
-    # argparse's own error exits 2, which means "unsupported" here
+    # checked after parsing, so the message names the flag and the rule
     if value < 0:
         raise LuError(f"{flag} must be nonnegative, got {value}")
     return value
@@ -104,18 +95,18 @@ def _cmd_verify_lemmas(args):
 def _run_step(args, fn):
     L, nu = load_scene(args.scene)
     certify(nu, L.defining, L.center)
-    L2, nu2, steps = fn(L, nu)
-    _print_steps(steps)
-    print(f"blowups: {len(steps)}")
-    _print_state(L2)
+    run = Run(L, nu, pipeline.BLOWUP_POOL)
+    fn(run)
+    _print_steps(run.steps)
+    print(f"blowups: {len(run.steps)}")
+    _print_state(run.L)
     return 0
 
 
 def _cmd_run(args):
     _nonnegative(args.budget, "--budget")
     L, nu = load_scene(args.scene)
-    oracle = _ORACLES[args.oracle]
-    trace = run_reduction(L, nu, oracle=oracle, budget=args.budget)
+    trace = run_reduction(L, nu, budget=args.budget)
     _print_steps(trace.steps)
     print(f"verdict: {trace.verdict}" + (f" ({trace.reason})" if trace.reason else ""))
     _print_state(trace.final_ring)
@@ -129,10 +120,14 @@ def _cmd_run(args):
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, which means "unsupported" here
+        raise LuError(f"{self.prog}: {message}")
+
+
 def _parser():
-    p = argparse.ArgumentParser(
-        prog="lu", description="instance verification for valuation reductions"
-    )
+    p = _Parser(prog="lu", description="instance verification for valuation reductions")
     sub = p.add_subparsers(dest="command", required=True)
 
     def scene_cmd(name, fn, help):
@@ -163,16 +158,15 @@ def _parser():
               "make the graded pieces free")
 
     sp = scene_cmd("run", _cmd_run, "run the full reduction")
-    sp.add_argument("--oracle", choices=sorted(_ORACLES), default="toric")
-    sp.add_argument("--budget", type=int, default=BLOWUP_POOL)
+    sp.add_argument("--budget", type=int, default=pipeline.BLOWUP_POOL)
     sp.add_argument("--trace", help="write the trace JSON here")
 
     return p
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UnsupportedInstance as e:
         print(f"unsupported: {e}", file=sys.stderr)

@@ -143,9 +143,6 @@ def _binomial_class(I, gb):
         rows.append(tuple(x - y for x, y in zip(ra, rb)))
         sub_binoms.append(sub.monomial(ra) - sub.monomial(rb))
     B = Ideal(sub, sub_binoms)
-    prod_vars = sub.one()
-    for v in sub.gens():
-        prod_vars = prod_vars * v
     for nm in sub.names:
         c = B.colon(sub.var(nm))
         if c != B:

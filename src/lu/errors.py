@@ -79,4 +79,4 @@ class IsomorphismCheckFailed(CertificationError):
 
 
 class SceneError(LuError):
-    """Scene file is syntactically valid JSON but violates the scene schema."""
+    """A scene or trace that is not valid JSON or does not follow its schema."""

@@ -1,21 +1,23 @@
 """The rank-induction reduction driver and its three constructive steps.
 
-Every step returns the blowups it performed and re-verifies its own claim on
-the instance afterwards: step one that the associated-prime count strictly
-drops until one remains, step two that the reduced ring becomes regular with
-the dimension count r + t matching, step three that the nilpotent graded
-pieces become free along the center.  Higher rank splits off the first value
-row, uniformizes the localized and quotient data recursively, and lifts each
-blowup back; nothing is trusted across a lift: the lifted chart re-runs the
-full certificate chain before it is accepted.  The driver then verifies each
-chart once (reduced ring regular, normally flat): at higher rank a failure is
-refused, at rank one the oracle is asked for the next blowup on that chart.
+One `Run` holds the reduction's state: the current chart `L`, the valuation
+`nu` on it, the `steps` so far and the pool of blowups.  Each step acts on a
+run and re-verifies its own claim afterwards: step one that the
+associated-prime count strictly drops until one remains, step two that the
+reduced ring becomes regular with the dimension count r + t matching, step
+three that the nilpotent graded pieces become free along the center.  Higher
+rank splits off the first value row, uniformizes the localized and quotient
+data in sub-runs, and lifts each first blowup back; nothing is trusted across
+a lift: the lifted chart re-runs the full certificate chain before it is
+accepted.  run_reduction then verifies each chart once (reduced ring
+regular, normally flat): at higher rank a failure is refused, at rank one
+the oracle is asked for the next blowup on that chart.
 
-The run's pool of blowups (BLOWUP_POOL unless the caller says otherwise) is
-the only bound on these loops, the oracle's descent included: every round
-that does not exit blows up once and spends from the pool, and a sub-run
-draws on a clone of what is left.  An empty pool raises ResourceLimit, which
-run_reduction reports as BudgetExceeded.
+`Run.apply` is the one way a run blows up: it spends from the pool
+(BLOWUP_POOL unless the caller says otherwise), transports and re-certifies
+`nu` and records the step.  The pool bounds every loop here, the oracle's
+descent included; a sub-run draws on a copy of what is left.  An empty pool
+raises ResourceLimit, which run_reduction reports as BudgetExceeded.
 """
 
 from dataclasses import dataclass
@@ -69,32 +71,37 @@ class ReductionTrace:
     final_nu: object
 
 
-class _Budget:
-    """Blowups left in the run's pool, and the pool's size for the message."""
+class Run:
+    """One reduction run: the current chart `L`, the valuation `nu` on it,
+    the `steps` so far, and the pool (`left` blowups of `total`)."""
 
-    __slots__ = ("left", "total")
+    __slots__ = ("L", "nu", "steps", "left", "total")
 
-    def __init__(self, left, total=None):
-        self.left = left
-        self.total = left if total is None else total
+    def __init__(self, L, nu, pool):
+        self.L = L
+        self.nu = nu
+        self.steps = []
+        self.left = self.total = pool
 
-    def spend(self):
+    def apply(self, B, label, report):
+        """Spend one blowup on B, transport and re-certify nu on its chart,
+        record the step and move to the chart."""
         if self.left <= 0:
             raise ResourceLimit(f"more than {self.total} blowups")
         self.left -= 1
+        nu = transport_through_blowup(self.nu, B)
+        certify(nu, B.chart.defining, B.chart.center)
+        report = dict(report)
+        report.setdefault("stabilization_N", B.stabilization_N)
+        self.steps.append(TraceStep(label, B, report))
+        self.L, self.nu = B.chart, nu
 
-    def clone(self):
-        return _Budget(self.left, self.total)
-
-
-def _apply(nu, B, label, report, budget, steps):
-    budget.spend()
-    nu2 = transport_through_blowup(nu, B)
-    certify(nu2, B.chart.defining, B.chart.center)
-    report = dict(report)
-    report.setdefault("stabilization_N", B.stabilization_N)
-    steps.append(TraceStep(label, B, report))
-    return B.chart, nu2
+    def sub(self, L, nu):
+        """A sub-run on (L, nu) that draws on a copy of what is left; an
+        empty pool still reports this run's total."""
+        run = Run(L, nu, self.left)
+        run.total = self.total
+        return run
 
 
 def _local_associated(L):
@@ -104,16 +111,15 @@ def _local_associated(L):
     return inside, len(inside) != len(ass)
 
 
-def step1(L, nu, budget=None, steps=None):
+def step1(run):
     """Blow up associated primes away until exactly one remains.
 
     Picks the candidate with the lexicographically smallest reduced basis,
     divides by its generator of least value, and demands a strict drop of
     the count after every blowup.
     """
-    budget = budget or _Budget(BLOWUP_POOL)
-    steps = [] if steps is None else steps
     while True:
+        L, nu = run.L, run.nu
         ass, off_center = _local_associated(L)
         if not ass:
             raise CertificationError(
@@ -125,7 +131,7 @@ def step1(L, nu, budget=None, steps=None):
                     "associated primes",
                     "unique associated prime differs from the nilradical",
                 )
-            return L, nu, steps
+            return
         cands = [q for q in ass if not nu.support.contains_ideal(q)]
         if not cands:
             raise CertificationError(
@@ -144,10 +150,7 @@ def step1(L, nu, budget=None, steps=None):
                 "associated primes",
                 f"count went from {before} to {after} across the blowup",
             )
-        L, nu = _apply(
-            nu, B, "ass-prime",
-            {"ass_before": before, "ass_after": after}, budget, steps,
-        )
+        run.apply(B, "ass-prime", {"ass_before": before, "ass_after": after})
 
 
 def _select_basis(ring, gens, rows, prime, nu):
@@ -197,8 +200,8 @@ def _absorption(L, p1, basis, modulus, g):
 
 def _split_center(nu):
     """The split center p1: the support plus every variable of positive
-    first value, the center of the first value row."""
-    return decompose(nu, 1)[1].support
+    first value, the center of the first value row.  Refuses rank one."""
+    return decompose(nu)[1].support
 
 
 def _regular_at(L, p1, check):
@@ -274,10 +277,9 @@ def _verify_split_criterion(L, nu, p1, at_p1=None):
                         f"parameter relation entry {entry.text()} survives "
                         "at the split center",
                     )
-    return r, t
 
 
-def step2(L, nu, budget=None, steps=None):
+def step2(run):
     """Make the reduced ring regular at the center.
 
     Nothing to do when it already is; otherwise blow up along the split
@@ -285,34 +287,25 @@ def step2(L, nu, budget=None, steps=None):
     extra generator per step, then re-verify the dimension criterion and the
     freeness of the parameter presentation.
     """
-    if nu.rank < 2:
-        raise UnsupportedInstance("splitting needs a valuation of rank at least two")
-    budget = budget or _Budget(BLOWUP_POOL)
-    steps = [] if steps is None else steps
-    p1 = _split_center(nu)
-    if is_regular_local(L.reduced()).regular:
-        _verify_split_criterion(L, nu, p1)
-        return L, nu, steps
-    params, extras, at_p1 = _trim_probe(L, nu, p1)
+    p1 = _split_center(run.nu)
+    if is_regular_local(run.L.reduced()).regular:
+        _verify_split_criterion(run.L, run.nu, p1)
+        return
+    params, extras, at_p1 = _trim_probe(run.L, run.nu, p1)
     while extras:
         g, b = extras[0]
-        B = local_blowup(L, b, params, nu=nu)
-        L, nu = _apply(
-            nu, B, "trim",
-            {"absorbed": g.text(), "extras_left": len(extras) - 1}, budget, steps,
-        )
-        p1 = _split_center(nu)
-        params, left, at_p1 = _trim_probe(L, nu, p1)
+        B = local_blowup(run.L, b, params, nu=run.nu)
+        run.apply(B, "trim", {"absorbed": g.text(), "extras_left": len(extras) - 1})
+        p1 = _split_center(run.nu)
+        params, left, at_p1 = _trim_probe(run.L, run.nu, p1)
         if len(left) >= len(extras):
             raise CertificationError("trim", "blowup did not absorb a generator")
         extras = left
-    _verify_split_criterion(L, nu, p1, at_p1)
-    reg = is_regular_local(L.reduced())
-    if not reg.regular:
+    _verify_split_criterion(run.L, run.nu, p1, at_p1)
+    if not is_regular_local(run.L.reduced()).regular:
         raise CertificationError(
             "regularity criterion", "reduced ring is still not regular"
         )
-    return L, nu, steps
 
 
 def _piece_probe(L, nu, p1, n):
@@ -324,7 +317,7 @@ def _piece_probe(L, nu, p1, n):
     )
 
 
-def step3(L, nu, budget=None, steps=None):
+def step3(run):
     """Make every nilpotent graded piece free at the center.
 
     The pieces must already be free at the split center; a piece that fails
@@ -332,12 +325,9 @@ def step3(L, nu, budget=None, steps=None):
     relation, one absorbed generator per blowup, with the local rank checked
     stable across each step.
     """
-    if nu.rank < 2:
-        raise UnsupportedInstance("splitting needs a valuation of rank at least two")
-    budget = budget or _Budget(BLOWUP_POOL)
-    steps = [] if steps is None else steps
-    p1 = _split_center(nu)
+    p1 = _split_center(run.nu)
     while True:
+        L, nu = run.L, run.nu
         length = nilpotent_length(L)
         for n in range(1, length):
             fr = is_free_at(L, n, prime=p1)
@@ -352,7 +342,7 @@ def step3(L, nu, budget=None, steps=None):
                 bad = n
                 break
         if bad is None:
-            return L, nu, steps
+            return
         basis, extras = _piece_probe(L, nu, p1, bad)
         if not extras:
             raise CertificationError(
@@ -362,14 +352,13 @@ def step3(L, nu, budget=None, steps=None):
         rank_before = len(basis)
         g, b = extras[0]
         B = local_blowup(L, b, basis, nu=nu)
-        L, nu = _apply(
-            nu, B, "normal-flat",
+        run.apply(
+            B, "normal-flat",
             {"piece": bad, "absorbed": g.text(), "extras_left": len(extras) - 1},
-            budget, steps,
         )
-        p1 = _split_center(nu)
-        if nilpotent_length(L) > bad:
-            basis_after, extras_after = _piece_probe(L, nu, p1, bad)
+        p1 = _split_center(run.nu)
+        if nilpotent_length(run.L) > bad:
+            basis_after, extras_after = _piece_probe(run.L, run.nu, p1, bad)
             if len(basis_after) != rank_before:
                 raise CertificationError(
                     "normal flatness", "local rank moved across the blowup"
@@ -421,45 +410,41 @@ def toric_uniformizer(L, nu):
     return local_blowup(L, b, [a], nu=nu)
 
 
-def _lift_loops(L, nu, oracle, budget, steps):
+def _lift_loops(run, oracle):
     for source in ("localization", "quotient"):
         while True:
-            nu1, nu2 = decompose(nu, 1)
+            L, nu = run.L, run.nu
+            nu1, nu2 = decompose(nu)
             p1 = nu2.support
             if source == "localization":
-                sub_ring = LocalRing(L.ring, L.defining, p1)
-                sub_nu = nu1
+                sub = run.sub(LocalRing(L.ring, L.defining, p1), nu1)
             else:
-                sub_ring = LocalRing(L.ring, p1, L.center)
-                sub_nu = nu2
-            sub_steps = []
-            _reduce(sub_ring, sub_nu, oracle, budget.clone(), sub_steps)
-            if not sub_steps:
+                sub = run.sub(LocalRing(L.ring, p1, L.center), nu2)
+            _reduce(sub, oracle)
+            if not sub.steps:
                 break
-            B0 = sub_steps[0].blowup
+            B0 = sub.steps[0].blowup
             if source == "localization":
-                B = lift_from_localization(L, nu, 1, B0.b, list(B0.a_list))
+                B = lift_from_localization(L, nu, B0.b, list(B0.a_list))
             else:
                 B = lift_from_quotient(L, nu, p1, B0.b, list(B0.a_list))
-            L, nu = _apply(
-                nu, B, "regularize", {"lifted_from": source}, budget, steps
-            )
-    return L, nu
+            run.apply(B, "regularize", {"lifted_from": source})
 
 
-def _reduce(L, nu, oracle, budget, steps):
-    certify(nu, L.defining, L.center)
-    L, nu, _ = step1(L, nu, budget, steps)
-    if nu.rank > 1:
-        L, nu = _lift_loops(L, nu, oracle, budget, steps)
-        L, nu, _ = step2(L, nu, budget, steps)
-        L, nu, _ = step3(L, nu, budget, steps)
+def _reduce(run, oracle):
+    certify(run.nu, run.L.defining, run.L.center)
+    step1(run)
+    if run.nu.rank > 1:
+        _lift_loops(run, oracle)
+        step2(run)
+        step3(run)
     while True:
+        L, nu = run.L, run.nu
         regular = is_regular_local(L.reduced()).regular
         # the refusal at higher rank reports both facts; the oracle needs one
         flat = (regular or nu.rank > 1) and is_normally_flat(L).flat
         if regular and flat:
-            return L, nu
+            return
         if nu.rank > 1:
             raise CertificationError(
                 "final verification", f"regular={regular}, normally_flat={flat}"
@@ -469,7 +454,7 @@ def _reduce(L, nu, oracle, budget, steps):
             raise IsomorphismCheckFailed(
                 "oracle blowup does not start on the current chart"
             )
-        L, nu = _apply(nu, B, "oracle", {}, budget, steps)
+        run.apply(B, "oracle", {})
 
 
 def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
@@ -481,20 +466,20 @@ def run_reduction(L, nu, oracle=None, budget=BLOWUP_POOL):
     descent by default) or refuses with a LuError.  Returns a ReductionTrace
     whose verdict is Uniformized, Unsupported (with the refusing reason), or
     BudgetExceeded: more than `budget` blowups, or a basis computation that
-    ran out of `ideals.BUDGET` (the reason says which).
+    ran out of `ideals.BUDGET` (the reason says which).  Its final chart and
+    valuation are the run's last, so a refused trace ends where the run
+    stopped.
     """
     if budget < 0:
         raise LuError(f"the blowup budget must be nonnegative, got {budget}")
-    steps = []
-    pool = _Budget(budget)
+    run = Run(L, nu, budget)
+    verdict, reason = UNIFORMIZED, ""
     try:
-        L2, nu2 = _reduce(L, nu, oracle, pool, steps)
-        return ReductionTrace(steps, UNIFORMIZED, "", L2, nu2)
+        _reduce(run, oracle)
     except IsomorphismCheckFailed:
         raise
     except ResourceLimit as e:
         verdict, reason = BUDGET_EXCEEDED, str(e)
     except LuError as e:
         verdict, reason = UNSUPPORTED, str(e)
-    cur = steps[-1].blowup.chart if steps else L
-    return ReductionTrace(steps, verdict, reason, cur, nu)
+    return ReductionTrace(run.steps, verdict, reason, run.L, run.nu)

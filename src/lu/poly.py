@@ -277,11 +277,6 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(c))
 
-    def term_list(self, order=None):
-        """Terms as (exponents, coefficient), biggest first."""
-        order = order or self.ring.canonical
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
     def derivative(self, name):
         i = self.ring.index[name]
         F = self.ring.field
@@ -342,14 +337,14 @@ class Polynomial:
             t[tuple(e2)] = small.field.coerce(c)
         return Polynomial(small, t)
 
-    def text(self, order=None):
+    def text(self):
         """Deterministic rendering, biggest term first under the canonical order."""
         if not self.terms:
             return "0"
-        order = order or self.ring.canonical
+        key = self.ring.canonical.key
         F = self.ring.field
         parts = []
-        for e, c in self.term_list(order):
+        for e, c in sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True):
             sign, mag = F.sign_abs(c)
             mono = "*".join(
                 nm if k == 1 else f"{nm}^{k}"

@@ -41,9 +41,13 @@ def _field(spec):
     raise SceneError(f"unknown field {spec!r}; use \"Q\" or {{\"Fp\": p}}")
 
 
+def _is_str_list(v):
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
 def _str_list(d, key):
     v = d.get(key)
-    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+    if not _is_str_list(v):
         raise SceneError(f"scene key {key!r} wants a list of strings")
     return v
 
@@ -178,6 +182,29 @@ def write_trace(trace, path):
         fh.write(text)
 
 
+def _need(ok, message):
+    if not ok:
+        raise SceneError(message)
+
+
+def _trace_data(trace_json):
+    """The parsed trace; SceneError names the first part that replay needs
+    and that is missing or of the wrong type."""
+    try:
+        data = json.loads(trace_json)
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
+        raise SceneError(f"trace is not valid JSON: {e}") from None
+    _need(isinstance(data, dict), "trace wants a JSON object")
+    _need(isinstance(data.get("steps"), list), "trace key 'steps' wants a list")
+    for i, s in enumerate(data["steps"]):
+        _need(isinstance(s, dict), f"trace step {i} wants a JSON object")
+        _need(isinstance(s.get("b"), str), f"trace step {i} key 'b' wants a string")
+        _need(_is_str_list(s.get("a_list")),
+              f"trace step {i} key 'a_list' wants a list of strings")
+    _need(isinstance(data.get("final"), dict), "trace key 'final' wants a JSON object")
+    return data
+
+
 def replay_trace(source, trace_json):
     """Re-apply a trace's blowups to its scene and compare every chart.
 
@@ -185,31 +212,29 @@ def replay_trace(source, trace_json):
     verdict is one a run can give, and a Uniformized verdict comes with a
     final chart recorded as regular and normally flat.
 
-    Returns the list of mismatch descriptions; empty means the replay
-    reproduced the recorded charts exactly.
+    Returns the list of mismatch descriptions (a missing recorded basis is
+    one); empty means the replay reproduced the recorded charts exactly.  A
+    trace without the blowup data or the final record raises SceneError.
     """
     L, _ = load_scene(source)
-    data = json.loads(trace_json)
+    data = _trace_data(trace_json)
     problems = []
     for i, s in enumerate(data["steps"]):
-        ring = L.ring
-        b = parse_poly(ring, s["b"])
-        a_list = [parse_poly(ring, a) for a in s["a_list"]]
-        B = local_blowup(L, b, a_list)
+        B = local_blowup(L, parse_poly(L.ring, s["b"]), parse_many(L.ring, s["a_list"]))
         got_gb = list(B.chart.defining.canonical_strings())
         got_center = list(B.chart.center.canonical_strings())
-        if got_gb != s["chart_ideal_gb"]:
-            problems.append(f"step {i}: chart ideal {got_gb} != {s['chart_ideal_gb']}")
-        if got_center != s["center_gb"]:
-            problems.append(f"step {i}: center {got_center} != {s['center_gb']}")
+        if got_gb != s.get("chart_ideal_gb"):
+            problems.append(f"step {i}: chart ideal {got_gb} != {s.get('chart_ideal_gb')}")
+        if got_center != s.get("center_gb"):
+            problems.append(f"step {i}: center {got_center} != {s.get('center_gb')}")
         L = B.chart
     final = data["final"]
     got_gb = list(L.defining.canonical_strings())
     got_center = list(L.center.canonical_strings())
-    if got_gb != final["ideal_gb"]:
-        problems.append(f"final: chart ideal {got_gb} != {final['ideal_gb']}")
-    if got_center != final["center_gb"]:
-        problems.append(f"final: center {got_center} != {final['center_gb']}")
+    if got_gb != final.get("ideal_gb"):
+        problems.append(f"final: chart ideal {got_gb} != {final.get('ideal_gb')}")
+    if got_center != final.get("center_gb"):
+        problems.append(f"final: center {got_center} != {final.get('center_gb')}")
     verdict = data.get("verdict")
     if verdict not in (UNIFORMIZED, UNSUPPORTED, BUDGET_EXCEEDED):
         problems.append(f"verdict {verdict!r} is not a verdict a run gives")

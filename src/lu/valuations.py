@@ -247,17 +247,18 @@ def certify(nu, defining, center):
     return cls
 
 
-def decompose(nu, r=1):
-    """Split off the first r rows: a coarser valuation and the rest on its center.
+def decompose(nu):
+    """Split off the first row: a coarser valuation and the rest on its center.
 
-    Returns (nu1, nu2) where nu1 keeps the support with rows[:r] and nu2 lives
-    on the quotient by nu1's center with the remaining rows.
+    Returns (nu1, nu2) where nu1 keeps the support with the first row and
+    nu2 lives on the quotient by nu1's center with the remaining rows.  A
+    rank one valuation has nothing to split off and is refused.
     """
-    if not 1 <= r < nu.rank:
-        raise LuError(f"split index {r} must satisfy 1 <= r < rank {nu.rank}")
-    nu1 = WeightValuation(nu.ring, nu.support, nu.rows[:r])
+    if nu.rank < 2:
+        raise UnsupportedInstance("splitting needs a valuation of rank at least two")
+    nu1 = WeightValuation(nu.ring, nu.support, nu.rows[:1])
     p1 = center_ideal(nu1)
-    nu2 = WeightValuation(nu.ring, p1, nu.rows[r:])
+    nu2 = WeightValuation(nu.ring, p1, nu.rows[1:])
     return nu1, nu2
 
 

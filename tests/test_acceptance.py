@@ -86,7 +86,7 @@ def test_criterion_03_whitney_trim_splits_the_center():
 
     final = trace.final_ring
     S = final.ring
-    coarse, _ = decompose(trace.final_nu, 1)
+    coarse, _ = decompose(trace.final_nu)
     split = center_ideal(coarse)
     # the split center is principal over the chart, generated by t
     t = S.var("t")

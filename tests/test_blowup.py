@@ -190,7 +190,7 @@ def test_localization_lift_swaps_the_denominator():
     R = plane.ring
     # x and y agree on the visible row but x is smaller underneath
     nu = WeightValuation(R, Ideal(R, []), ((1, 1), (1, 2)))
-    B = lift_from_localization(plane, nu, 1, R.var("y"), [R.var("x")])
+    B = lift_from_localization(plane, nu, R.var("y"), [R.var("x")])
     assert B.b.text() == "x"
     assert [a.text() for a in B.a_list] == ["y"]
 
@@ -199,7 +199,7 @@ def test_localization_lift_keeps_a_legal_denominator():
     plane = _plane()
     R = plane.ring
     nu = WeightValuation(R, Ideal(R, []), ((1, 1), (1, 2)))
-    B = lift_from_localization(plane, nu, 1, R.var("x"), [R.var("y")])
+    B = lift_from_localization(plane, nu, R.var("x"), [R.var("y")])
     assert B.b.text() == "x"
     assert [a.text() for a in B.a_list] == ["y"]
 
@@ -210,7 +210,7 @@ def test_localization_lift_refuses_a_visible_swap():
     # the first row already distinguishes the candidates
     nu = WeightValuation(R, Ideal(R, []), ((1, 2), (0, 0)))
     try:
-        lift_from_localization(plane, nu, 1, R.var("y"), [R.var("x")])
+        lift_from_localization(plane, nu, R.var("y"), [R.var("x")])
     except IsomorphismCheckFailed:
         pass
     else:

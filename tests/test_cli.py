@@ -147,6 +147,29 @@ def test_a_step_out_of_blowups_exits_3(monkeypatch, capsys):
     assert err == "budget exceeded: more than 0 blowups\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "F1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "F1", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["run", "F1", "--oracle", "toric"], "unrecognized arguments: --oracle toric"),
+    ],
+)
+def test_a_usage_error_exits_1_with_its_message(argv, message, capsys):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: lu") and message in out.err
+    assert out.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["run", "-h"])
+    assert done.value.code == 0
+    assert "--budget" in capsys.readouterr().out
+
+
 def test_blowup_and_lemma_check(capsys):
     assert main(["blowup", "F3", "--b", "u", "--a", "x"]) == 0
     out = capsys.readouterr().out

@@ -5,10 +5,11 @@ from conftest import scene
 
 import lu.scenes
 from lu import ideals, pipeline
+from lu.blowup import transport_through_blowup
 from lu.errors import LuError, ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits
 from lu.pipeline import (
-    _Budget,
+    Run,
     run_reduction,
     step1,
     step2,
@@ -16,6 +17,13 @@ from lu.pipeline import (
     toric_uniformizer,
 )
 from lu.scenes import load_scene, trace_to_json
+
+
+def _step(fn, local, nu):
+    """The run after fn on a fresh run from (local, nu) with the full pool."""
+    run = Run(local, nu, pipeline.BLOWUP_POOL)
+    fn(run)
+    return run
 
 
 def _fat_axis():
@@ -52,8 +60,8 @@ def _cusp():
 
 
 def test_step1_merges_associated_primes():
-    local, nu = _fat_axis()
-    chart, _, steps = step1(local, nu)
+    run = _step(step1, *_fat_axis())
+    chart, steps = run.L, run.steps
     assert [s.label for s in steps] == ["ass-prime"]
     assert steps[0].blowup.b.text() == "y"
     assert steps[0].report["ass_before"] == 2
@@ -63,15 +71,16 @@ def test_step1_merges_associated_primes():
 
 def test_step1_passes_a_clean_instance():
     local, nu = _fat_cone()
-    chart, moved, steps = step1(local, nu)
+    run = _step(step1, local, nu)
+    chart, moved, steps = run.L, run.nu, run.steps
     assert steps == []
     assert chart == local and moved == nu
 
 
 def test_step2_trims_the_whitney_center():
-    local, nu = _whitney()
-    local, nu, _ = step1(local, nu)
-    chart, _, steps = step2(local, nu)
+    run = _step(step1, *_whitney())
+    run = _step(step2, run.L, run.nu)
+    chart, steps = run.L, run.steps
     assert [(s.label, s.blowup.b.text()) for s in steps] == [("trim", "u")]
     assert [a.text() for a in steps[0].blowup.a_list] == ["x"]
     assert steps[0].report["absorbed"] == "y"
@@ -80,14 +89,15 @@ def test_step2_trims_the_whitney_center():
 
 def test_step2_accepts_an_already_split_cone():
     local, nu = _fat_cone()
-    chart, _, steps = step2(local, nu)
+    run = _step(step2, local, nu)
+    chart, steps = run.L, run.steps
     assert steps == []
     assert chart == local
 
 
 def test_step3_flattens_the_cone():
-    local, nu = _fat_cone()
-    chart, _, steps = step3(local, nu)
+    run = _step(step3, *_fat_cone())
+    chart, steps = run.L, run.steps
     assert [(s.label, s.blowup.b.text()) for s in steps] == [("normal-flat", "v")]
     assert [a.text() for a in steps[0].blowup.a_list] == ["y"]
     assert steps[0].report["piece"] == 1
@@ -96,10 +106,9 @@ def test_step3_flattens_the_cone():
 
 
 def test_step3_passes_the_trimmed_whitney():
-    local, nu = _whitney()
-    local, nu, _ = step1(local, nu)
-    local, nu, _ = step2(local, nu)
-    _, _, steps = step3(local, nu)
+    run = _step(step1, *_whitney())
+    run = _step(step2, run.L, run.nu)
+    steps = _step(step3, run.L, run.nu).steps
     assert steps == []
 
 
@@ -107,7 +116,7 @@ def test_splitting_steps_need_rank_two():
     local, nu = _fat_axis()
     for fn in (step2, step3):
         try:
-            fn(local, nu)
+            fn(Run(local, nu, pipeline.BLOWUP_POOL))
         except UnsupportedInstance:
             pass
         else:
@@ -174,6 +183,16 @@ def test_the_blowup_pool_bounds_the_descent():
     assert trace.final_ring == trace.steps[0].blowup.chart
 
 
+def test_a_refused_trace_carries_the_valuation_of_its_final_chart():
+    local, nu = _cusp_2_5()
+    trace = run_reduction(local, nu, budget=1)
+    assert trace.verdict == "BudgetExceeded"
+    assert len(trace.steps) == 1
+    assert trace.final_nu.ring == trace.final_ring.ring
+    moved = transport_through_blowup(nu, trace.steps[0].blowup)
+    assert (trace.final_nu.support, trace.final_nu.rows) == (moved.support, moved.rows)
+
+
 def test_a_run_and_its_trace_check_regularity_at_most_seven_times_on_f3(monkeypatch):
     calls = _count_calls(monkeypatch, pipeline, "is_regular_local")
     monkeypatch.setattr(lu.scenes, "is_regular_local", pipeline.is_regular_local)
@@ -214,12 +233,13 @@ def test_a_negative_budget_is_an_input_error_before_any_work():
 
 def test_an_empty_blowup_pool_is_a_resource_limit():
     with pytest.raises(ResourceLimit, match="more than 0 blowups"):
-        step1(*load_scene("F1"), budget=_Budget(0))
-    # a sub-run's clone reports the run's own pool, not what was left of it
-    pool = _Budget(1)
-    pool.spend()
+        step1(Run(*load_scene("F1"), 0))
+    # a sub-run's copy reports the run's own pool, not what was left of it
+    run = Run(*load_scene("F1"), 1)
+    step1(run)
+    assert run.left == 0
     with pytest.raises(ResourceLimit, match="more than 1 blowups"):
-        pool.clone().spend()
+        step1(run.sub(*load_scene("F1")))
 
 
 def test_run_reduction_reports_a_resource_limit_as_budget_exceeded(monkeypatch):

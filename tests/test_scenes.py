@@ -237,6 +237,22 @@ def test_replay_catches_a_claim_the_trace_cannot_make(section, field, value):
     assert len(problems) == 1 and field in problems[0]
 
 
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("{}", "trace key 'steps' wants a list"),
+        ("not json", "trace is not valid JSON"),
+        ('{"steps": 3, "final": {}}', "trace key 'steps' wants a list"),
+        ('{"steps": [{"b": 1}], "final": {}}', "trace step 0 key 'b' wants a string"),
+        ("[]", "trace wants a JSON object"),
+    ],
+)
+def test_a_malformed_trace_is_a_scene_error_naming_the_fault(text, what):
+    with pytest.raises(SceneError) as err:
+        replay_trace("F2", text)
+    assert str(err.value).startswith(what)
+
+
 def test_only_refusals_become_null_facts(monkeypatch):
     """An Unsupported trace writes a refused fact as null; any other error still shows."""
     trace = run_reduction(*scene_from_dict(dict(_cusp_dict(), field={"Fp": 7})))

@@ -194,7 +194,7 @@ def test_certify_refuses_off_center_positivity():
 
 def test_decompose_splits_the_rows():
     local, nu = _fat_cone_scene()
-    first, rest = decompose(nu, 1)
+    first, rest = decompose(nu)
     assert first.rank == 1 and rest.rank == 1
     assert center_ideal(first).canonical_strings() == ["y", "x", "u"]
     v = local.ring.var("v")
@@ -203,15 +203,10 @@ def test_decompose_splits_the_rows():
     assert rest.value_of(u).is_infinite
 
 
-def test_decompose_rejects_bad_split_index():
-    _, nu = _fat_cone_scene()
-    for r in (0, 2):
-        try:
-            decompose(nu, r)
-        except LuError:
-            pass
-        else:
-            raise AssertionError(f"split index {r} was accepted at rank 2")
+def test_decompose_refuses_a_rank_one_valuation():
+    _, nu = _cusp_scene()
+    with pytest.raises(UnsupportedInstance, match="rank at least two"):
+        decompose(nu)
 
 
 def test_axiom_sampling_sees_no_violations():
@@ -229,7 +224,7 @@ def test_a_negative_sample_count_is_an_input_error():
 def test_truncation_commutes_with_the_split():
     # the coarse half of a split reads off the leading block of the value
     _, nu = _fat_cone_scene()
-    first, _ = decompose(nu, 1)
+    first, _ = decompose(nu)
     rng = random.Random(7)
     for _ in range(40):
         f = sample_polynomials(nu.ring, rng)
