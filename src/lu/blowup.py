@@ -6,6 +6,10 @@ re-verified on the instance: b stays a nonzerodivisor on the chart, strict
 transforms contract back to where they came from, compositions are checked
 by mutual kernel containment under the variable identification, and lifted
 blowups must reproduce the chart they were found on.
+
+Blowup data must be polynomials of the source ring; anything else is a
+LuError.  Text is parsed only at the boundaries (scenes, the command line,
+traces), and polynomials reach a chart ring through `Polynomial.to_ring`.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,6 @@ from .errors import (
 )
 from .ideals import Ideal
 from .localring import LocalRing
-from .parse import parse_poly
 from .poly import Polynomial
 from .valuations import WeightValuation
 
@@ -45,14 +48,11 @@ def _chart_names(taken, k):
     raise LuError("no free chart variable names left")
 
 
-def _as_poly(ring, f):
-    if isinstance(f, str):
-        return parse_poly(ring, f)
-    if isinstance(f, Polynomial):
-        if f.ring != ring:
-            raise LuError("blowup data from a different ring")
-        return f
-    return ring.const(f)
+def _source_poly(ring, f):
+    """f itself, which must be a polynomial of the source ring."""
+    if not isinstance(f, Polynomial) or f.ring != ring:
+        raise LuError(f"blowup data {f!r} is not a polynomial of {ring!r}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def local_blowup(L, b, a_list, nu=None):
     of smaller value, so the chart keeps the valuation nonnegative.
     """
     ring = L.ring
-    b = _as_poly(ring, b)
-    a_list = tuple(_as_poly(ring, a) for a in a_list)
+    b = _source_poly(ring, b)
+    a_list = tuple(_source_poly(ring, a) for a in a_list)
     if b.is_zero():
         raise LuError("cannot divide a chart by zero")
     if a_list:
@@ -101,20 +101,20 @@ def local_blowup(L, b, a_list, nu=None):
     t_names = _chart_names(set(ring.names), len(a_list))
     S = ring.extend(t_names)
     J, N = _chart_ideal(S, L.defining, b, a_list, t_names)
-    if J.colon(b.substitute(S)) != J:
+    if J.colon(b.to_ring(S)) != J:
         raise CertificationError(
             "chart denominator is a zero divisor after saturation"
         )
-    cgens = [g.substitute(S) for g in L.center.gens] + [S.var(nm) for nm in t_names]
+    cgens = [g.to_ring(S) for g in L.center.gens] + [S.var(nm) for nm in t_names]
     chart = LocalRing(S, J, Ideal(S, cgens))
     return LocalBlowup(L, chart, b, a_list, t_names, N)
 
 
 def _chart_ideal(S, ideal, b, a_list, t_names):
     """(ideal + (b*t_i - a_i)) in the chart ring S, saturated at b; (J, N)."""
-    bS = b.substitute(S)
-    gens = [g.substitute(S) for g in ideal.gens]
-    gens += [bS * S.var(nm) - a.substitute(S) for nm, a in zip(t_names, a_list)]
+    bS = b.to_ring(S)
+    gens = [g.to_ring(S) for g in ideal.gens]
+    gens += [bS * S.var(nm) - a.to_ring(S) for nm, a in zip(t_names, a_list)]
     return Ideal(S, gens).saturation(bS)
 
 
@@ -171,9 +171,9 @@ def verify_center_isos(B, nu):
         )
     if supp.contains(B.b):
         failures.append(f"denominator {B.b.text()} lies in the support")
-    bS = B.b.substitute(S)
+    bS = B.b.to_ring(S)
     for nm, a in zip(B.t_names, B.a_list):
-        w = bS * S.var(nm) - a.substitute(S)
+        w = bS * S.var(nm) - a.to_ring(S)
         if not supp1.contains(w):
             failures.append(
                 f"chart relation {w.text()} misses the transformed support"
@@ -240,16 +240,16 @@ def compose(B1, B2):
     Jstar, N = _chart_ideal(Sstar, B1.source.defining, bstar, astar, fresh)
 
     old_ts = B1.t_names + B2.t_names
-    fwd = {nm: S2.var(t) for nm, t in zip(fresh, old_ts)}
-    bwd = {t: Sstar.var(nm) for nm, t in zip(fresh, old_ts)}
+    fwd = dict(zip(fresh, old_ts))
+    bwd = dict(zip(old_ts, fresh))
     J2 = B2.chart.defining
     for g in Jstar.canonical_gb():
-        if not J2.contains(g.substitute(S2, fwd)):
+        if not J2.contains(g.to_ring(S2, fwd)):
             raise IsomorphismCheckFailed(
                 f"composite relation {g.text()} fails on the second chart"
             )
     for g in J2.canonical_gb():
-        if not Jstar.contains(g.substitute(Sstar, bwd)):
+        if not Jstar.contains(g.to_ring(Sstar, bwd)):
             raise IsomorphismCheckFailed(
                 f"second chart relation {g.text()} fails on the composite"
             )
@@ -265,8 +265,8 @@ def lift_from_localization(L, nu, b, a_list):
     chart relations are re-verified in the new chart.
     """
     ring = L.ring
-    b = _as_poly(ring, b)
-    a_list = [_as_poly(ring, a) for a in a_list]
+    b = _source_poly(ring, b)
+    a_list = [_source_poly(ring, a) for a in a_list]
     cands = [b] + a_list
     vals = [nu.value_of(c) for c in cands]
     k = 0
@@ -284,7 +284,7 @@ def lift_from_localization(L, nu, b, a_list):
     S = B.chart.ring
     J = B.chart.defining
     t0 = S.var(B.t_names[0])
-    bS = b.substitute(S)
+    bS = b.to_ring(S)
     pos = {}
     for i in range(len(cands)):
         if i != k:
@@ -292,7 +292,7 @@ def lift_from_localization(L, nu, b, a_list):
     for i in range(1, len(cands)):
         if i == k:
             continue
-        w = bS * S.var(B.t_names[pos[i]]) - cands[i].substitute(S) * t0
+        w = bS * S.var(B.t_names[pos[i]]) - cands[i].to_ring(S) * t0
         if not J.contains(w):
             raise IsomorphismCheckFailed(
                 f"relation {w.text()} fails after the denominator swap"
@@ -309,8 +309,8 @@ def lift_from_quotient(L, nu, p1, b, a_list):
     the full value inequalities.
     """
     ring = L.ring
-    b = _as_poly(ring, b)
-    a_list = [_as_poly(ring, a) for a in a_list]
+    b = _source_poly(ring, b)
+    a_list = [_source_poly(ring, a) for a in a_list]
     if p1.normal_form(b).is_zero():
         raise SupportDivision(f"{b.text()} vanishes on the quotient")
     B = local_blowup(L, b, a_list, nu=nu)

@@ -149,8 +149,8 @@ def _binomial_class(I, gb):
             # a variable is a zero divisor, exhibit the product that dies
             for g in c.groebner():
                 if not B.contains(g):
-                    w1 = sub.var(nm).substitute(ring)
-                    w2 = g.substitute(ring)
+                    w1 = ring.var(nm)
+                    w2 = g.to_ring(ring)
                     if _verify_witness(I, w1, w2):
                         return Primality(NOT_PRIME, (w1, w2))
             return Primality(UNKNOWN, reason="variable zero divisor without witness")
@@ -165,7 +165,7 @@ def _binomial_class(I, gb):
     for j in range(k):
         e = tuple(j * p + (k - 1 - j) * m for p, m in zip(up, um))
         h = h + sub.monomial(e)
-    w1, w2 = g.substitute(ring), h.substitute(ring)
+    w1, w2 = g.to_ring(ring), h.to_ring(ring)
     if _verify_witness(I, w1, w2):
         return Primality(NOT_PRIME, (w1, w2))
     return Primality(UNKNOWN, reason="lattice defect witness failed verification")

@@ -368,10 +368,8 @@ class Ideal:
         self.ring = ring
         cleaned = []
         for g in gens:
-            if isinstance(g, (int,)):
-                g = ring.const(g)
-            if g.ring != ring:
-                raise LuError(f"generator lives in {g.ring!r}, not {ring!r}")
+            if not isinstance(g, Polynomial) or g.ring != ring:
+                raise LuError(f"generator {g!r} is not a polynomial of {ring!r}")
             if not g.is_zero():
                 cleaned.append(g)
         self.gens = tuple(cleaned)
@@ -398,7 +396,12 @@ class Ideal:
         return [g.text() for g in self.canonical_gb()]
 
     def normal_form(self, f, order=None):
-        order = order or degrevlex(self.ring.n)
+        # contains and colon land here too; another ring's exponents would be
+        # read against this ring's variables and give a wrong answer
+        ring = self.ring
+        if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
+            raise LuError(f"{f!r} is not a polynomial of {ring!r}")
+        order = order or degrevlex(ring.n)
         entry = self._entry(order)
         if entry[1] is None:
             entry[1] = _reducer_rows(entry[0], order)
@@ -460,7 +463,7 @@ class Ideal:
     def eliminate_restrict(self, drop):
         """Same as eliminate, reinterpreted in the smaller ring."""
         small = self.ring.drop(drop)
-        return Ideal(small, [g.restrict_to(small) for g in self.eliminate(drop).gens])
+        return Ideal(small, [g.to_ring(small) for g in self.eliminate(drop).gens])
 
     def intersect(self, other):
         """The intersection self ∩ other, by syzygies.
@@ -485,8 +488,6 @@ class Ideal:
         """
         from .modules import relation_module
 
-        if not isinstance(f, Polynomial):
-            f = self.ring.const(f)
         if self.contains(f):
             return Ideal(self.ring, [self.ring.one()])
         if f.constant_value() is not None:

@@ -109,23 +109,19 @@ def nilradical_min_gens(L):
     """A minimal generating list of the nilradical over the local ring.
 
     Nakayama at the center: a candidate is redundant when the others plus
-    center * N plus the defining ideal already contain it.
+    center * N plus the defining ideal already contain it.  One backward
+    pass tests each candidate once: removals only shrink the others, so a
+    candidate kept stays irredundant.
     """
     N = L.nilradical()
     if N == L.defining:
         return []
     cands = list(N.canonical_gb())
     mN = L.center.multiply(N)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cands) - 1, -1, -1):
-            others = cands[:i] + cands[i + 1 :]
-            test = Ideal(L.ring, others) + mN + L.defining
-            if test.contains(cands[i]):
-                cands.pop(i)
-                changed = True
-                break
+    for i in range(len(cands) - 1, -1, -1):
+        others = cands[:i] + cands[i + 1 :]
+        if (Ideal(L.ring, others) + mN + L.defining).contains(cands[i]):
+            cands.pop(i)
     return cands
 
 

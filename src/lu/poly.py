@@ -1,4 +1,11 @@
-"""Exact multivariate polynomials with dictionary term storage."""
+"""Exact multivariate polynomials with dictionary term storage.
+
+A polynomial enters a ring through the parser (at the boundaries: scenes,
+the command line, traces), the ring's constructors (`var`, `const`,
+`monomial`), arithmetic, or `Polynomial.to_ring`, the one map between rings
+that share variable names.  Blowup data must already be polynomials of the
+source ring.
+"""
 
 from fractions import Fraction
 from operator import add, le, sub
@@ -88,9 +95,6 @@ class PolyRing:
         e = [0] * self.n
         e[self.index[name]] = 1
         return Polynomial(self, {tuple(e): self.field.one})
-
-    def gens(self):
-        return [self.var(nm) for nm in self.names]
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
@@ -291,51 +295,36 @@ class Polynomial:
             t[e2] = F.add(t.get(e2, F.zero), c2) if e2 in t else c2
         return Polynomial(self.ring, {e: c for e, c in t.items() if c != F.zero})
 
-    def substitute(self, target, mapping=None):
-        """Image in `target` sending each variable to mapping[name].
+    def to_ring(self, target, rename=None):
+        """This polynomial in `target`, the one way between rings.
 
-        Variables missing from the mapping go to the same-named variable of
-        the target ring.  Values may be polynomials of the target ring or
-        constants.
+        Each occurring variable goes to the target's variable of the same
+        name, or of the name `rename` (names to names) gives it.  Embedding
+        into a chart ring, renaming chart variables and contracting to a
+        subring are all this exponent remap.  A variable the target lacks,
+        a rename that merges two variables, or another field is a LuError.
         """
-        mapping = dict(mapping or {})
-        images = []
-        for nm in self.ring.names:
-            v = mapping.get(nm)
-            if v is None:
-                v = target.var(nm)
-            elif not isinstance(v, Polynomial):
-                v = target.const(v)
-            elif v.ring != target:
-                raise LuError(f"substitution value for {nm!r} lives in {v.ring!r}")
-            images.append(v)
-        acc = target.zero()
-        for e, c in self.terms.items():
-            part = target.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    part = part * images[i] ** k
-            acc = acc + part
-        return acc
-
-    def restrict_to(self, small):
-        """Reinterpret in a subring that must contain every occurring variable."""
-        pos = []
-        for nm in self.ring.names:
-            pos.append(small.index.get(nm))
+        if target.field != self.ring.field:
+            raise LuError(f"cannot move {self.ring!r} into {target!r}")
+        names = self.ring.names
+        if rename:
+            names = [rename.get(nm, nm) for nm in names]
+            if len(set(names)) < len(names):
+                raise LuError(f"renaming {rename} merges variables of {self.ring!r}")
+        pos = [target.index.get(nm) for nm in names]
         t = {}
         for e, c in self.terms.items():
-            e2 = [0] * small.n
+            e2 = [0] * target.n
             for i, k in enumerate(e):
                 if not k:
                     continue
                 if pos[i] is None:
                     raise LuError(
-                        f"polynomial mentions {self.ring.names[i]!r}, absent from {small!r}"
+                        f"polynomial mentions {names[i]!r}, absent from {target!r}"
                     )
                 e2[pos[i]] = k
-            t[tuple(e2)] = small.field.coerce(c)
-        return Polynomial(small, t)
+            t[tuple(e2)] = c
+        return Polynomial(target, t)
 
     def text(self):
         """Deterministic rendering, biggest term first under the canonical order."""

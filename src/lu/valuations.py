@@ -262,43 +262,38 @@ def decompose(nu):
     return nu1, nu2
 
 
-def sample_polynomials(ring, rng, max_deg=4, max_terms=4):
+def sample_polynomials(ring, rng):
     """One nonzero polynomial with small random support; deterministic per rng.
 
-    Each of up to max_terms terms gets up to max_deg variable factors and a
-    coefficient in [-3, 3]; terms that land on one monomial are summed.
+    Each of up to 4 terms gets up to 4 variable factors and a coefficient
+    in [-3, 3]; terms that land on one monomial are summed.
 
-    The draws are those of rng.randint(1, max_terms) for the term count,
-    rng.randint(0, max_deg) per term for its factor count, rng.randrange(n)
-    per factor and rng.randint(-3, 3) per coefficient, made here by the
+    The draws are those of rng.randint(1, 4) for the term count,
+    rng.randint(0, 4) per term for its factor count, rng.randrange(n) per
+    factor and rng.randint(-3, 3) per coefficient, made here by the
     rejection sampling those methods use in CPython 3.10-3.13: draw
     getrandbits(m.bit_length()) until it is below the range's width m.  So
     a seed gives the same polynomials as those methods would, at a fraction
-    of the calls.  A width of 0 would never be left, and is refused first.
+    of the calls.  A ring with no variables (width 0) would never be left,
+    and is refused first.
     """
     n = ring.n
     if n < 1:
         raise LuError("cannot sample polynomials in a ring with no variables")
-    if max_terms < 1:
-        raise LuError(f"max_terms must be at least 1, got {max_terms}")
-    if max_deg < 0:
-        raise LuError(f"max_deg must be nonnegative, got {max_deg}")
     F = ring.field
     zero = F.zero
     bits = rng.getrandbits
-    k_terms = max_terms.bit_length()
-    k_deg = (max_deg + 1).bit_length()
     k_var = n.bit_length()
     while True:
         t = {}
-        r = bits(k_terms)  # randint(1, max_terms) - 1
-        while r >= max_terms:
-            r = bits(k_terms)
+        r = bits(3)  # randint(1, 4) - 1: 4 values, 3 bits
+        while r >= 4:
+            r = bits(3)
         for _ in range(r + 1):
             e = [0] * n
-            d = bits(k_deg)  # randint(0, max_deg)
-            while d > max_deg:
-                d = bits(k_deg)
+            d = bits(3)  # randint(0, 4): 5 values, 3 bits
+            while d > 4:
+                d = bits(3)
             for _ in range(d):
                 i = bits(k_var)  # randrange(n)
                 while i >= n:

@@ -1,5 +1,6 @@
 """Local blowups: charts, transports, composition, and the two lifts."""
 
+import pytest
 from conftest import ideal, ring, scene
 
 from lu.blowup import (
@@ -143,6 +144,15 @@ def test_refuses_generators_outside_the_center():
         pass
     else:
         raise AssertionError("a zero denominator was accepted")
+
+
+def test_blowup_data_must_be_polynomials_of_the_source_ring():
+    plane = _plane()
+    R = plane.ring
+    for b, a_list in (("x", ["y"]), (R.var("x"), ["y"]), (1, []),
+                      (ring("x", "y", "z").var("x"), [R.var("y")])):
+        with pytest.raises(LuError, match="not a polynomial of"):
+            local_blowup(plane, b, a_list)
 
 
 def test_compose_two_point_blowups():

@@ -286,7 +286,7 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
         "F1": (29, 67, 16),
-        "F2": (71, 840, 309),
+        "F2": (69, 786, 306),
         "F3": (46, 216, 158),
         "F4": (8, 9, 3),
     }

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lu import decomp, ideals
-from lu.errors import ResourceLimit
+from lu.errors import LuError, ResourceLimit
 from lu.ideals import Ideal, Limits, buchberger, groebner_basis, normal_form
 from lu.orders import DegRevLex, degrevlex, elimination_order
 from lu.parse import parse_many, parse_poly
@@ -67,6 +67,23 @@ def test_unit_and_zero(xy):
     assert not list(ideal(xy, "0").canonical_gb())
 
 
+@pytest.mark.parametrize("gen", [1, "x"], ids=["number", "text"])
+def test_a_generator_must_be_a_polynomial_of_the_ring(xy, gen):
+    with pytest.raises(LuError, match="not a polynomial of"):
+        Ideal(xy, [gen])
+    with pytest.raises(LuError, match="not a polynomial of"):
+        Ideal(xy, [ring("x").var("x")])
+
+
+def test_an_element_of_another_ring_is_refused_not_misread(xy):
+    """y of QQ[y, x] has x's exponents in QQ[x, y]; it is not in (x)."""
+    I = ideal(xy, "x")
+    for f in (ring("y", "x").var("y"), ring("z").var("z"), 1, "x"):
+        for check in (I.contains, I.colon, I.normal_form):
+            with pytest.raises(LuError, match="not a polynomial of"):
+                check(f)
+
+
 def test_colon(xy):
     I = ideal(xy, "x^2", "x*y")
     assert I.colon(parse_poly(xy, "x")) == ideal(xy, "x", "y")
@@ -102,8 +119,8 @@ def _saturation_by_elimination(I, f):
     R = I.ring
     S = R.extend(("sat_t",))
     t = S.var("sat_t")
-    lifted = [g.substitute(S) for g in I.gens]
-    lifted.append(S.one() - t * f.substitute(S))
+    lifted = [g.to_ring(S) for g in I.gens]
+    lifted.append(S.one() - t * f.to_ring(S))
     return Ideal(S, lifted).eliminate_restrict(("sat_t",))
 
 

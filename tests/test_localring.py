@@ -4,6 +4,8 @@ import itertools
 
 from conftest import ideal as ideal_of
 
+from lu import ideals
+from lu.blowup import local_blowup
 from lu.ideals import Ideal
 from lu.modules import module_groebner
 from lu.localring import (
@@ -17,6 +19,7 @@ from lu.localring import (
     nilradical_min_gens,
 )
 from lu.errors import LuError
+from lu.scenes import load_scene
 
 
 def _fat_axis(xy):
@@ -225,3 +228,22 @@ def test_fitting_oracle_agrees(xy, uvxy):
         assert got.free == expect_free
         if expect_free:
             assert got.rank == expect_rank
+
+
+def test_nilradical_min_gens_tests_each_candidate_once(monkeypatch):
+    """F2's normal-flat chart: the nilradical's basis [y, x, t] comes down
+    to [t] with one containment test per candidate."""
+    L, nu = load_scene("F2")
+    R = L.ring
+    chart = local_blowup(L, R.var("v"), [R.var("y")], nu=nu).chart
+    assert chart.nilradical().canonical_strings() == ["y", "x", "t"]
+    tested = []
+    contains = ideals.Ideal.contains
+
+    def counted(self, f):
+        tested.append(f.text())
+        return contains(self, f)
+
+    monkeypatch.setattr(ideals.Ideal, "contains", counted)
+    assert [g.text() for g in nilradical_min_gens(chart)] == ["t"]
+    assert sorted(tested) == ["t", "x", "y"]

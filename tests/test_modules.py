@@ -51,7 +51,7 @@ def test_relation_module_frozen(xy):
 
 
 def test_determinant_and_minors(xy):
-    x, y = xy.gens()
+    x, y = xy.var("x"), xy.var("y")
     rows = [[x, y], [y, x]]
     assert determinant(rows) == x * x - y * y
     got = list(minors(rows, 1))
@@ -64,7 +64,7 @@ def test_determinant_and_minors(xy):
 
 
 def test_rank_mod_prime_basics(xy):
-    x, y = xy.gens()
+    x, y = xy.var("x"), xy.var("y")
     one, zero = xy.one(), xy.zero()
     m = ideal(xy, "x", "y")
     assert rank_mod_prime([[one, zero], [zero, one]], m) == 2

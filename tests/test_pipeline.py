@@ -1,11 +1,13 @@
 """The three reduction steps and the driving loop."""
 
+import hashlib
+
 import pytest
 from conftest import scene
 
 import lu.scenes
 from lu import ideals, pipeline
-from lu.blowup import transport_through_blowup
+from lu.blowup import transport_through_blowup, verify_center_isos
 from lu.errors import LuError, ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits
 from lu.pipeline import (
@@ -16,7 +18,7 @@ from lu.pipeline import (
     step3,
     toric_uniformizer,
 )
-from lu.scenes import load_scene, trace_to_json
+from lu.scenes import load_scene, replay_trace, trace_to_json
 
 
 def _step(fn, local, nu):
@@ -277,3 +279,66 @@ def test_run_reduction_is_deterministic():
         first.final_ring.defining.canonical_strings()
         == second.final_ring.defining.canonical_strings()
     )
+
+
+def _cusp_times_a_line(k, x, y, z):
+    """The cusp y^2 - x^k times the z line, as the support of a rank two
+    valuation: the row that sees x and y decides which half of the split
+    the regularize step lifts from."""
+    curve = f"y^2 - x^{k}"
+    return {
+        "field": "Q",
+        "vars": ["x", "y", "z"],
+        "ideal": [curve],
+        "localize_at": ["x", "y", "z"],
+        "valuation": {
+            "support": [curve],
+            "weights": {"x": x, "y": y, "z": z},
+            "rank": 2,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "source,sources,digest",
+    [
+        (
+            _cusp_times_a_line(3, [2, 0], [3, 0], [0, 1]),
+            ["localization"],
+            "455e5cf42d49bc48bf9631fc5d285c0acba5c3521a7b775d968de15c99a9fdc6",
+        ),
+        (
+            _cusp_times_a_line(3, [0, 2], [0, 3], [1, 0]),
+            ["quotient"],
+            "a0c894bf70931b73c753052c095a1fc8805313ae77c04eef5c2573ab9276d40f",
+        ),
+        (
+            _cusp_times_a_line(5, [2, 0], [5, 0], [0, 1]),
+            ["localization"] * 2,
+            "072a0e1e78d3d047455e4194e671b4cfb1adef45396cc4fb35b31a8dd9a854f5",
+        ),
+        (
+            _cusp_times_a_line(5, [0, 2], [0, 5], [1, 0]),
+            ["quotient"] * 2,
+            "63ccfae972a55865a4ed8527f9b8ccba49bf0c50c34c0a8661b86890182443ba",
+        ),
+    ],
+    ids=["localization", "quotient", "localization-twice", "quotient-twice"],
+)
+def test_the_regularize_step_lifts_each_sub_run_blowup(source, sources, digest):
+    """The rank induction: each first blowup of a sub-run on the localized
+    or the quotient data is lifted to the run's chart and re-certified."""
+    L, nu = load_scene(source)
+    trace = run_reduction(L, nu)
+    assert trace.verdict == "Uniformized"
+    assert [s.label for s in trace.steps] == ["regularize"] * len(sources)
+    assert [s.report for s in trace.steps] == [
+        {"lifted_from": src, "stabilization_N": 2} for src in sources
+    ]
+    text = trace_to_json(trace)
+    assert trace_to_json(run_reduction(*load_scene(source))) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert replay_trace(source, text) == []
+    for s in trace.steps:
+        assert verify_center_isos(s.blowup, nu).ok
+        nu = transport_through_blowup(nu, s.blowup)

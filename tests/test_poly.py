@@ -21,7 +21,7 @@ def test_ring_value_equality():
 
 
 def test_basic_arithmetic(xy):
-    x, y = xy.gens()
+    x, y = xy.var("x"), xy.var("y")
     f = (x + y) * (x - y)
     assert f == x * x - y * y
     assert (f - f).is_zero()
@@ -30,7 +30,7 @@ def test_basic_arithmetic(xy):
 
 
 def test_scalar_coercion(xy):
-    x, _ = xy.gens()
+    x = xy.var("x")
     assert (x + 1) - x == xy.one()
     assert (Fraction(1, 2) * (x + x)) == x
     assert 0 * x == xy.zero()
@@ -43,20 +43,33 @@ def test_char_p_collapse():
     assert (x + 1) ** 3 == x**3 + 1
 
 
-def test_substitute_missing_names_stay(xy):
-    x, y = xy.gens()
+def test_to_ring_renames_and_keeps_other_names(xy):
+    x, y = xy.var("x"), xy.var("y")
     S = ring("x", "y", "t")
     f = x * y + y**2
-    g = f.substitute(S, {"x": S.var("t")})
+    assert f.to_ring(S) == S.var("x") * S.var("y") + S.var("y") ** 2
+    g = f.to_ring(S, {"x": "t"})
     assert g == S.var("t") * S.var("y") + S.var("y") ** 2
+    # x does not occur in g, so its new name need not exist in the target
+    assert g.to_ring(xy, {"t": "x", "x": "t"}) == f
 
 
-def test_restrict_to_smaller_ring(uxy):
+def test_to_ring_into_smaller_ring(uxy):
     f = parse_poly(uxy, "x^2 + u")
     small = ring("u", "x")
-    assert f.restrict_to(small) == parse_poly(small, "x^2 + u")
-    with pytest.raises(LuError):
-        parse_poly(uxy, "y").restrict_to(small)
+    assert f.to_ring(small) == parse_poly(small, "x^2 + u")
+    # only occurring variables must exist in the target
+    assert f.to_ring(ring("x", "u")) == parse_poly(ring("x", "u"), "x^2 + u")
+    with pytest.raises(LuError, match="'y', absent"):
+        parse_poly(uxy, "y").to_ring(small)
+
+
+def test_to_ring_refuses_a_merge_and_another_field(xy):
+    f = parse_poly(xy, "x + y")
+    with pytest.raises(LuError, match="merges"):
+        f.to_ring(ring("x", "y"), {"x": "y"})
+    with pytest.raises(LuError, match="cannot move"):
+        f.to_ring(ring("x", "y", field=GF(5)))
 
 
 def test_derivative(xy):
@@ -66,7 +79,7 @@ def test_derivative(xy):
 
 
 def test_exponent_cap(xy):
-    x, _ = xy.gens()
+    x = xy.var("x")
     big = x**40000
     with pytest.raises(ExponentOverflow):
         big * big

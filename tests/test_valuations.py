@@ -255,17 +255,6 @@ def test_sampler_draws_what_the_reference_draws():
         assert fast.getstate() == slow.getstate()
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{"max_terms": 0}, {"max_deg": -1}], ids=["max_terms", "max_deg"]
-)
-def test_the_sampler_refuses_an_empty_range_before_drawing(kwargs):
-    rng = random.Random(5)
-    state = rng.getstate()
-    with pytest.raises(LuError):
-        sample_polynomials(PolyRing(QQ, ["x"]), rng, **kwargs)
-    assert rng.getstate() == state
-
-
 def test_the_sampler_refuses_a_ring_without_variables():
     rng = random.Random(5)
     state = rng.getstate()
