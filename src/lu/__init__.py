@@ -1,4 +1,10 @@
-"""Symbolic workbench for reducing local uniformization to rank one valuations."""
+"""Symbolic workbench for reducing local uniformization to rank one valuations.
+
+`__all__` is the documented API: loading a scene, running and replaying the
+reduction, the local blowup with its checks and its composite, and the typed
+errors of the exit-code contract.  Every other name lives in its submodule
+(`lu.ideals`, `lu.localring`, ...).
+"""
 
 __version__ = "0.1.0"
 
@@ -6,93 +12,31 @@ from .errors import (
     CertificationError,
     LuError,
     PolySyntaxError,
+    ResourceLimit,
     SceneError,
     UnsupportedInstance,
 )
-from .fields import GF, QQ
-from .poly import Polynomial, PolyRing
-from .parse import parse_many, parse_poly
-from .orders import DegRevLex, Lex, WeightRefined, canonical_order
-from .ideals import Ideal
-from .decomp import associated_primes, is_prime, minimal_primes, radical
-from .localring import (
-    LocalRing,
-    is_free_at,
-    is_normally_flat,
-    is_regular_local,
-    nilpotent_length,
-)
-from .valuations import Value, WeightValuation, certify, decompose
-from .blowup import (
-    LocalBlowup,
-    compose,
-    lift_from_localization,
-    lift_from_quotient,
-    local_blowup,
-    strict_transform,
-    transport_through_blowup,
-    verify_center_isos,
-)
-from .pipeline import (
-    ReductionTrace,
-    Run,
-    TraceStep,
-    run_reduction,
-    step1,
-    step2,
-    step3,
-    toric_uniformizer,
-)
-from .scenes import load_scene, replay_trace, trace_to_json, write_trace
+from .parse import parse_poly
+from .valuations import certify
+from .blowup import compose, local_blowup, transport_through_blowup, verify_center_isos
+from .pipeline import run_reduction
+from .scenes import load_scene, replay_trace, trace_to_json
 
 __all__ = [
     "CertificationError",
-    "DegRevLex",
-    "GF",
-    "Ideal",
-    "Lex",
-    "LocalBlowup",
-    "LocalRing",
     "LuError",
-    "Polynomial",
-    "PolyRing",
     "PolySyntaxError",
-    "QQ",
-    "ReductionTrace",
-    "Run",
+    "ResourceLimit",
     "SceneError",
-    "TraceStep",
     "UnsupportedInstance",
-    "Value",
-    "WeightRefined",
-    "WeightValuation",
-    "associated_primes",
-    "canonical_order",
     "certify",
     "compose",
-    "decompose",
-    "is_free_at",
-    "is_normally_flat",
-    "is_prime",
-    "is_regular_local",
-    "lift_from_localization",
-    "lift_from_quotient",
     "load_scene",
     "local_blowup",
-    "minimal_primes",
-    "nilpotent_length",
-    "parse_many",
     "parse_poly",
-    "radical",
     "replay_trace",
     "run_reduction",
-    "step1",
-    "step2",
-    "step3",
-    "strict_transform",
-    "toric_uniformizer",
     "trace_to_json",
     "transport_through_blowup",
     "verify_center_isos",
-    "write_trace",
 ]

@@ -217,6 +217,10 @@ def compose(B1, B2):
     denominator, the product center is blown up directly in fresh variables,
     and the two presentations must contain each other's kernels under the
     variable identification.  The result reuses B2's chart.
+
+    Nothing in the package calls it: it is the paper's composition of local
+    blowups, exported as `lu.compose`, and acceptance criterion 05 checks it
+    on seeded pairs.
     """
     if B2.source != B1.chart:
         raise ChartMismatch(

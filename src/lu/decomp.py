@@ -22,7 +22,7 @@ from . import unifactor
 from .errors import CertificationError, LuError, UnsupportedInstance
 from .ideals import MEMO_CAP, Ideal
 from .lattice import saturation_defect
-from .orders import degrevlex
+from .orders import DegRevLex
 from .poly import mono_divides, mono_gcd
 
 PRIME = "prime"
@@ -218,7 +218,7 @@ def standard_monomials(I):
     if I.is_unit_ideal():
         return []
     gb = I.groebner()
-    order = degrevlex(I.ring.n)
+    order = DegRevLex(I.ring.n)
     lts = [g.leading(order)[0] for g in gb]
     n = I.ring.n
     bounds = []
@@ -622,7 +622,7 @@ def krull_dimension(I):
     if I.is_unit_ideal():
         return -1
     gb = I.groebner()
-    order = degrevlex(ring.n)
+    order = DegRevLex(ring.n)
     supports = [
         frozenset(i for i, x in enumerate(g.leading(order)[0]) if x) for g in gb
     ]

@@ -12,7 +12,7 @@ the route `Ideal.colon` and `Ideal.intersect` take.
 
 from .errors import LuError
 from .ideals import groebner_basis
-from .orders import PositionOverTerm, degrevlex
+from .orders import DegRevLex, PositionOverTerm
 from .poly import Polynomial
 
 
@@ -32,7 +32,7 @@ def module_groebner(vectors):
         Polynomial(big, {e + onehot[k]: c for k, f in enumerate(v) for e, c in f.terms.items()})
         for v in vecs
     ]
-    order = PositionOverTerm(degrevlex(n), s)
+    order = PositionOverTerm(DegRevLex(n), s)
     out = []
     for g in groebner_basis(gens, order):
         parts = [{} for _ in range(s)]

@@ -95,10 +95,6 @@ def canonical_order(names):
     return Lex(tuple(ranked))
 
 
-def degrevlex(n):
-    return DegRevLex(n)
-
-
 def elimination_order(names, drop):
     """Order making every monomial that touches `drop` beat every one that avoids it."""
     dropset = set(drop)

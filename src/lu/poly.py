@@ -281,20 +281,6 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(c))
 
-    def derivative(self, name):
-        i = self.ring.index[name]
-        F = self.ring.field
-        t = {}
-        for e, c in self.terms.items():
-            if not e[i]:
-                continue
-            c2 = F.mul(c, F.coerce(e[i]))
-            if c2 == F.zero:
-                continue  # characteristic divides the exponent
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            t[e2] = F.add(t.get(e2, F.zero), c2) if e2 in t else c2
-        return Polynomial(self.ring, {e: c for e, c in t.items() if c != F.zero})
-
     def to_ring(self, target, rename=None):
         """This polynomial in `target`, the one way between rings.
 

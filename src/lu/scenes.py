@@ -9,10 +9,11 @@ recorded blowups and comparing the charts.
 """
 
 import json
+import os
 import re
 from importlib import resources
 
-from .errors import CertificationError, ResourceLimit, SceneError, UnsupportedInstance
+from .errors import CertificationError, LuError, ResourceLimit, SceneError, UnsupportedInstance
 from .fields import GF, QQ
 from .ideals import Ideal
 from .localring import LocalRing, is_normally_flat, is_regular_local, nilpotent_length
@@ -64,6 +65,14 @@ def scene_from_dict(d):
     if not names or len(set(names)) != len(names):
         raise SceneError("vars wants distinct names")
     ring = PolyRing(field, tuple(names))
+    for nm in names:
+        # text() and traces print names raw, so each must parse back
+        try:
+            readable = parse_poly(ring, nm) == ring.var(nm)
+        except LuError:
+            readable = False
+        if not readable:
+            raise SceneError(f"variable name {nm!r} does not parse as that variable")
     defining = Ideal(ring, parse_many(ring, _str_list(d, "ideal")))
     center = Ideal(ring, parse_many(ring, _str_list(d, "localize_at"))) + defining
     val = d["valuation"]
@@ -103,9 +112,16 @@ def scene_from_dict(d):
 
 
 def load_scene(source):
-    """Scene from a file path, a packaged fixture name (F1..), or a dict."""
+    """Scene from a file path (a string or os.PathLike), a packaged fixture
+    name (F1..), or a dict."""
     if isinstance(source, dict):
         return scene_from_dict(source)
+    if isinstance(source, os.PathLike):
+        source = os.fspath(source)
+    if not isinstance(source, str):
+        raise SceneError(
+            f"a scene is a path, a fixture name or a dict, not {type(source).__name__}"
+        )
     if _FIXTURE.match(source):
         ref = resources.files("lu").joinpath(f"fixtures/{source}.json")
         if not ref.is_file():

@@ -37,10 +37,6 @@ class Value:
         self.vec = None if vec is None else tuple(int(x) for x in vec)
 
     @classmethod
-    def infinite(cls):
-        return cls(None)
-
-    @classmethod
     def _of(cls, vec):
         """A finite value from a tuple of ints, taken as it is."""
         v = object.__new__(cls)

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+import sympy as sp
+
 from conftest import ideal, ring
 
 from lu.blowup import compose, local_blowup, transport_through_blowup, verify_center_isos
@@ -25,6 +27,7 @@ from lu.localring import (
     is_regular_local,
 )
 from lu.pipeline import run_reduction, toric_uniformizer
+from lu.poly import Polynomial
 from lu.scenes import load_scene, scene_from_dict
 from lu.valuations import axiom_violations, center_ideal, decompose
 
@@ -111,12 +114,20 @@ def test_criterion_04_cusp_toric_uniformization():
 
     final = trace.final_ring
     S = final.ring
-    gb = final.defining.canonical_gb()
+    syms = sp.symbols(S.names)
     rows = []
-    for g in gb:
+    for g in final.defining.canonical_gb():
+        expr = sum(
+            sp.Rational(c) * sp.Mul(*(s**k for s, k in zip(syms, e)))
+            for e, c in g.terms.items()
+        )
         row = []
-        for nm in S.names:
-            const = final.center.normal_form(g.derivative(nm))
+        for s in syms:
+            d = sp.Poly(sp.diff(expr, s), *syms)
+            dg = Polynomial(S, {
+                e: S.field.coerce(Fraction(int(c.p), int(c.q))) for e, c in d.terms() if c
+            })
+            const = final.center.normal_form(dg)
             row.append(const.terms.get((0,) * S.n, Fraction(0)))
         rows.append(row)
     rank = _fraction_rank(rows)

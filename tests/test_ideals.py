@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lu import decomp, ideals
 from lu.errors import LuError, ResourceLimit
 from lu.ideals import Ideal, Limits, buchberger, groebner_basis, normal_form
-from lu.orders import DegRevLex, degrevlex, elimination_order
+from lu.orders import DegRevLex, elimination_order
 from lu.parse import parse_many, parse_poly
 
 from conftest import ideal, ring
@@ -184,7 +184,7 @@ def test_minimal_generators(xy):
 def test_memo_keeps_at_most_its_cap_and_drops_the_least_recent(xy):
     cached = ideals._cached_basis
     cached.cache_clear()
-    order = degrevlex(2)
+    order = DegRevLex(2)
     gens = [(parse_poly(xy, f"x^{k + 1} - y"),) for k in range(ideals.MEMO_CAP + 1)]
     for g in gens[:-1]:
         groebner_basis(g, order)
@@ -213,7 +213,7 @@ def test_memo_does_not_keep_a_resource_limit(monkeypatch):
     held = ideals._cached_basis.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ResourceLimit):
-            groebner_basis(gens, degrevlex(3))
+            groebner_basis(gens, DegRevLex(3))
     assert ideals._cached_basis.cache_info().currsize == held
 
 
@@ -221,7 +221,7 @@ def test_memo_hit_returns_the_cold_basis(uxy):
     cached = ideals._cached_basis
     cached.cache_clear()
     gens = parse_many(uxy, ["u*y - x^2", "x^3 - u", "y^2*x - 1"])
-    order = degrevlex(3)
+    order = DegRevLex(3)
     cold = groebner_basis(gens, order)
     assert cached.cache_info()[:2] == (0, 1)
     assert cold == buchberger(gens, order)

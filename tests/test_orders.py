@@ -7,7 +7,6 @@ from lu.orders import (
     PositionOverTerm,
     WeightRefined,
     canonical_order,
-    degrevlex,
     elimination_order,
     weight_order,
 )
@@ -30,7 +29,7 @@ def test_lex_priority_permutation():
 
 
 def test_degrevlex_classic_degree_two_chain():
-    o = degrevlex(3)
+    o = DegRevLex(3)
     x2, xy, y2, xz = (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)
     assert o.key(x2) > o.key(xy)
     assert o.key(xy) > o.key(y2)

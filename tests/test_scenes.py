@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -97,6 +98,14 @@ def test_a_rank_above_the_number_of_variables_is_refused():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("name", ["2", "x y", "y^2", "", "x-1"])
+def test_a_variable_name_the_parser_cannot_read_back_is_refused(name):
+    d = _cusp_dict()
+    d["vars"] = ["x", "y", name]
+    with pytest.raises(SceneError, match=re.escape(f"variable name {name!r}")):
+        scene_from_dict(d)
+
+
 def test_packaged_fixtures_load():
     for name in ("F1", "F2", "F3", "F4"):
         local, nu = load_scene(name)
@@ -117,6 +126,18 @@ def test_load_scene_from_a_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SceneError):
         load_scene(str(bad))
+
+
+def test_load_scene_takes_a_path_and_refuses_other_types(tmp_path):
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(_cusp_dict()))
+    local, _ = load_scene(path)
+    assert local.defining.canonical_strings() == ["y^2 - x^3"]
+    with pytest.raises(SceneError, match="cannot read scene"):
+        load_scene(tmp_path / "missing.json")
+    for source in (3, None, b"F1", ["F1"]):
+        with pytest.raises(SceneError, match="a scene is a path, a fixture name or a dict"):
+            load_scene(source)
 
 
 def test_trace_serialization_is_stable(tmp_path):
