@@ -6,6 +6,17 @@ ideals with saturated exponent lattice, principal univariate irreducibles,
 zero dimensional rings certified to be fields), "not-prime" always comes with
 a zero divisor witness that is re-verified by normal forms, and everything
 else is "unknown" so that callers can refuse the instance instead of lying.
+The zero dimensional class reads minimal polynomials, each the generator of
+(I + (T - f)) ∩ k[T] by elimination in the one Groebner engine.
+
+Associated and minimal primes come from one split, `_split_primes`: a
+splitter f gives the checked identity I = (I : f^∞) ∩ (I + (f^n)), and a
+leaf with no splitter yields its radical only when `is_prime` certifies
+that radical, so every prime returned is certified and an uncertified leaf
+is refused.  `associated_primes` keeps a leaf that some colon (I : c)
+certifies or that is minimal; `minimal_primes` is the minimal leaves of the
+radical's split, with no colon certificate, since a radical ideal has no
+embedded primes.
 
 `is_prime` and `radical` are `functools.lru_cache`s of the MEMO_CAP most
 recently used ideals.  An ideal hashes and compares by its ring and reduced
@@ -14,7 +25,6 @@ degrevlex basis, so every presentation of one ideal shares one entry, and
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -116,6 +126,19 @@ def _monomial_witness(I, gb):
     return None
 
 
+def _zero_divisor_variable(B, names):
+    """(x, B : x) for the first x of `names` with B : x != B, or None.
+
+    None says B is saturated at those variables: B : (x_1*...*x_k)^∞ = B
+    exactly when every B : x_i = B.
+    """
+    for nm in names:
+        c = B.colon(B.ring.var(nm))
+        if c != B:
+            return nm, c
+    return None
+
+
 def _binomial_class(I, gb):
     """Variables plus pure-difference binomials; decided through the lattice."""
     ring = I.ring
@@ -143,17 +166,17 @@ def _binomial_class(I, gb):
         rows.append(tuple(x - y for x, y in zip(ra, rb)))
         sub_binoms.append(sub.monomial(ra) - sub.monomial(rb))
     B = Ideal(sub, sub_binoms)
-    for nm in sub.names:
-        c = B.colon(sub.var(nm))
-        if c != B:
-            # a variable is a zero divisor, exhibit the product that dies
-            for g in c.groebner():
-                if not B.contains(g):
-                    w1 = ring.var(nm)
-                    w2 = g.to_ring(ring)
-                    if _verify_witness(I, w1, w2):
-                        return Primality(NOT_PRIME, (w1, w2))
-            return Primality(UNKNOWN, reason="variable zero divisor without witness")
+    hit = _zero_divisor_variable(B, sub.names)
+    if hit:
+        # a variable is a zero divisor, exhibit the product that dies
+        nm, c = hit
+        for g in c.groebner():
+            if not B.contains(g):
+                w1 = ring.var(nm)
+                w2 = g.to_ring(ring)
+                if _verify_witness(I, w1, w2):
+                    return Primality(NOT_PRIME, (w1, w2))
+        return Primality(UNKNOWN, reason="variable zero divisor without witness")
     defect = saturation_defect(rows, sub.n)
     if defect is None:
         return Primality(PRIME)
@@ -172,7 +195,7 @@ def _binomial_class(I, gb):
 
 
 def _univariate_of(g):
-    """(variable index, dense Fraction coefficients) for a one-variable g."""
+    """(variable index, dense coefficients) for a one-variable g."""
     idx = None
     for e in g.terms:
         for i, x in enumerate(e):
@@ -183,7 +206,7 @@ def _univariate_of(g):
                     return None
     if idx is None:
         return None
-    coeffs = [Fraction(0)] * (g.degree() + 1)
+    coeffs = [g.ring.field.zero] * (g.degree() + 1)
     for e, c in g.terms.items():
         coeffs[e[idx]] = c
     return idx, coeffs
@@ -244,60 +267,19 @@ def standard_monomials(I):
     return sorted(out)
 
 
-class _DepTracker:
-    """Incremental exact linear dependence over the coefficient field."""
+def minimal_polynomial(I, f):
+    """Dense coefficients of the minimal polynomial of f modulo a proper zero
+    dimensional I: the generator of (I + (T - f)) ∩ k[T], by elimination,
+    monic as every reduced basis is.
 
-    def __init__(self, field):
-        self.F = field
-        self.rows = {}
-
-    def insert(self, vec, combo):
-        F = self.F
-        vec = dict(vec)
-        combo = list(combo)
-        while vec:
-            pivot = max(vec)
-            if pivot not in self.rows:
-                inv = F.inv(vec[pivot])
-                vec = {e: F.mul(v, inv) for e, v in vec.items()}
-                combo = [F.mul(v, inv) for v in combo]
-                self.rows[pivot] = (vec, combo)
-                return None
-            row, rcombo = self.rows[pivot]
-            c = vec[pivot]
-            for e, v in row.items():
-                s = F.sub(vec.get(e, F.zero), F.mul(c, v))
-                if s == F.zero:
-                    vec.pop(e, None)
-                else:
-                    vec[e] = s
-            width = max(len(combo), len(rcombo))
-            combo = [
-                F.sub(
-                    combo[i] if i < len(combo) else F.zero,
-                    F.mul(c, rcombo[i] if i < len(rcombo) else F.zero),
-                )
-                for i in range(width)
-            ]
-        return combo
-
-
-def minimal_polynomial(I, elem, bound):
-    """Monic dense coefficients of the minimal polynomial of elem modulo I."""
-    F = I.ring.field
-    tracker = _DepTracker(F)
-    p = I.normal_form(I.ring.one())
-    k = 0
-    while k <= bound + 1:
-        combo = [F.zero] * k + [F.one]
-        dep = tracker.insert(p.terms, combo)
-        if dep is not None:
-            lead = dep[-1]
-            inv = F.inv(lead)
-            return [F.mul(c, inv) for c in dep]
-        p = I.normal_form(p * elem)
-        k += 1
-    raise LuError("minimal polynomial bound exceeded")
+    T is named `_t`; a scene variable starts with a letter, so it is fresh.
+    """
+    ring = I.ring
+    big = ring.extend(["_t"])
+    t = big.var("_t")
+    J = Ideal(big, [g.to_ring(big) for g in I.gens] + [t - f.to_ring(big)])
+    (g,) = J.eliminate_restrict(ring.names).gens
+    return _univariate_of(g)[1]
 
 
 def _zero_dim_class(I):
@@ -316,7 +298,7 @@ def _zero_dim_class(I):
             candidates.append(ring.var(nm) + ring.var(ring.names[j]))
     best_unknown = None
     for ell in candidates:
-        mp = minimal_polynomial(I, ell, D)
+        mp = minimal_polynomial(I, ell)
         try:
             factor = unifactor.factor_once(mp)
         except LuError as exc:
@@ -441,7 +423,7 @@ def _squarefree_coordinates(J):
         return None
     out = []
     for nm in ring.names:
-        mp = minimal_polynomial(J, ring.var(nm), len(std))
+        mp = minimal_polynomial(J, ring.var(nm))
         sf = unifactor.squarefree_part(mp)
         if len(sf) < len(mp):
             out.append(_subst_dense(ring.var(nm), sf))
@@ -477,12 +459,7 @@ def _certify_radical(J, zero_dim_reduced):
     if not others and not (mono_vars & binom_vars) and ring.field.char == 0:
         # saturation check runs in the ambient ring; variable disjointness
         # makes it equivalent to the subring check
-        B = Ideal(ring, binoms)
-        prod = ring.one()
-        for nm in sorted(binom_vars):
-            prod = prod * ring.var(nm)
-        sat, _ = B.saturation(prod)
-        if sat == B:
+        if _zero_divisor_variable(Ideal(ring, binoms), sorted(binom_vars)) is None:
             return J
         raise UnsupportedInstance("binomial part is not saturated at its variables")
     if zero_dim_reduced:
@@ -491,8 +468,9 @@ def _certify_radical(J, zero_dim_reduced):
 
 
 def _find_splitter(I, P):
-    """f outside rad(I) with (I : f) != I, or None when the search believes
-    the ideal primary."""
+    """f outside P = rad(I) with (I : f) != I, or None when the search finds
+    none: then I is believed primary, and `_split_primes` takes P as its
+    one prime only once `is_prime` certifies it."""
     ring = I.ring
     tried = set()
     frontier = [ring.var(nm) for nm in sorted(ring.names)]
@@ -537,58 +515,70 @@ def _monomial_associated_primes(I):
     return sorted(out.values(), key=lambda q: [g.text() for g in q.canonical_gb()])
 
 
-def associated_primes(I, _depth=0):
-    """The associated primes of R/I, each one witness-certified.
-
-    Splitting by saturation produces candidates; a candidate survives when
-    some colon (I : c) equals it exactly, or when it is minimal over I (then
-    the verified decomposition identity already forces it to be associated).
-    """
-    if _depth > 16:
+def _split_primes(I, depth):
+    """The radicals of the leaves of a verified split of I, each certified
+    prime (a monomial ideal gives its associated primes).  The minimal
+    primes of I are the minimal leaves.  At the top the leaves come unique,
+    sorted by size and then text (a monomial ideal's by text alone)."""
+    if depth > 16:
         raise UnsupportedInstance("associated prime recursion exceeded depth 16")
     if I.is_unit_ideal():
         return []
     gb = I.groebner()
-    if _is_monomial_gb(gb) and gb:
+    if gb and _is_monomial_gb(gb):
         return _monomial_associated_primes(I)
-    candidates = _ass_candidates(I, _depth)
-    if _depth:
-        return candidates
-    uniq = {}
-    for Q in candidates:
-        uniq.setdefault(Q.groebner(), Q)
-    candidates = list(uniq.values())
-    kept = []
-    for Q in candidates:
-        if _certify_associated(I, Q) is not None:
-            kept.append(Q)
-            continue
-        minimal = all(
-            other is Q or not Q.contains_ideal(other)
-            for other in candidates
-        )
-        if minimal:
-            kept.append(Q)  # minimal over a verified decomposition
-        else:
-            raise UnsupportedInstance(
-                "embedded prime candidate resisted witness certification"
-            )
-    kept.sort(key=lambda q: (len(q.canonical_gb()), [g.text() for g in q.canonical_gb()]))
-    return kept
-
-
-def _ass_candidates(I, depth):
     P = radical(I)
-    if P == I and is_prime(I).is_prime:
-        return [I]
+    if P == I and is_prime(P).is_prime:
+        return [P]
     f = _find_splitter(I, P)
     if f is None:
-        return [P]
+        verdict = is_prime(P)
+        if verdict.is_prime:
+            return [P]
+        why = verdict.reason
+        if verdict.witness:
+            why = "witness ({})*({})".format(*(w.text() for w in verdict.witness))
+        raise UnsupportedInstance(
+            f"cannot split ({', '.join(P.canonical_strings())}) into primes: "
+            f"{verdict.verdict}, {why}"
+        )
     sat, n = I.saturation(f)
     other = I + [f**max(n, 1)]
     if sat.intersect(other) != I:
         raise CertificationError("saturation split identity failed", f.text())
-    return associated_primes(sat, depth + 1) + associated_primes(other, depth + 1)
+    leaves = _split_primes(sat, depth + 1) + _split_primes(other, depth + 1)
+    if depth:
+        return leaves
+    unique = {}
+    for Q in leaves:
+        unique.setdefault(Q.groebner(), Q)
+    return sorted(
+        unique.values(),
+        key=lambda q: (len(q.canonical_gb()), [g.text() for g in q.canonical_gb()]),
+    )
+
+
+def _minimal(Q, primes):
+    return not any(other is not Q and Q.contains_ideal(other) for other in primes)
+
+
+def associated_primes(I):
+    """The associated primes of R/I, each one witness-certified.
+
+    The leaves of `_split_primes` are the candidates.  One survives when
+    some colon (I : c) equals it exactly, or when it is minimal over I (then
+    the verified split already forces it to be associated).
+    """
+    candidates = _split_primes(I, 0)
+    gb = I.groebner()
+    if gb and _is_monomial_gb(gb):
+        return candidates
+    for Q in candidates:
+        if _certify_associated(I, Q) is None and not _minimal(Q, candidates):
+            raise UnsupportedInstance(
+                "embedded prime candidate resisted witness certification"
+            )
+    return candidates
 
 
 def _certify_associated(I, Q):
@@ -606,12 +596,14 @@ def _certify_associated(I, Q):
 
 
 def minimal_primes(I):
-    ass = associated_primes(radical(I))
-    out = []
-    for q in ass:
-        if not any(other is not q and q.contains_ideal(other) for other in ass):
-            out.append(q)
-    return out
+    """The minimal primes of R/I: the minimal leaves of rad(I)'s split.
+
+    A radical ideal has no embedded primes, and a leaf whose radical is a
+    certified prime has exactly that one minimal prime, so no colon
+    certificate is needed, even where the splitter search is incomplete.
+    """
+    leaves = _split_primes(radical(I), 0)
+    return [Q for Q in leaves if _minimal(Q, leaves)]
 
 
 def krull_dimension(I):

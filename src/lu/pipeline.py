@@ -116,11 +116,13 @@ def step1(run):
 
     Picks the candidate with the lexicographically smallest reduced basis,
     divides by its generator of least value, and demands a strict drop of
-    the count after every blowup.
+    the count after every blowup.  Each chart's associated primes are
+    computed once: the list counted for `ass_after` is the next round's.
     """
+    local = _local_associated(run.L)
     while True:
         L, nu = run.L, run.nu
-        ass, off_center = _local_associated(L)
+        ass, off_center = local
         if not ass:
             raise CertificationError(
                 "associated primes", "no associated prime lies at the center"
@@ -144,7 +146,8 @@ def step1(run):
         rest = gens[:bi] + gens[bi + 1 :]
         before = len(ass)
         B = local_blowup(L, b, rest, nu=nu)
-        after = len(_local_associated(B.chart)[0])
+        local = _local_associated(B.chart)
+        after = len(local[0])
         if after >= before:
             raise CertificationError(
                 "associated primes",
@@ -328,21 +331,16 @@ def step3(run):
     p1 = _split_center(run.nu)
     while True:
         L, nu = run.L, run.nu
-        length = nilpotent_length(L)
-        for n in range(1, length):
-            fr = is_free_at(L, n, prime=p1)
-            if not fr.free:
+        flat = is_normally_flat(L)
+        for n in range(1, flat.length):
+            if not is_free_at(L, n, prime=p1).free:
                 raise CertificationError(
                     "hypothesis",
                     f"graded piece {n} is not free at the split center",
                 )
-        bad = None
-        for n in range(1, length):
-            if not is_free_at(L, n).free:
-                bad = n
-                break
-        if bad is None:
+        if flat.flat:
             return
+        bad = flat.first_bad
         basis, extras = _piece_probe(L, nu, p1, bad)
         if not extras:
             raise CertificationError(

@@ -29,6 +29,27 @@ def scene(names, gens, loc, supp, columns, rank, field=QQ):
     return LocalRing(R, I, center), WeightValuation(R, support, rows)
 
 
+# The node y^2 = x^2 at the origin.  No splitter separates its two lines, so
+# the minimal primes of its ideal are refused rather than guessed.
+NODE_SCENE = {
+    "field": "Q",
+    "vars": ["x", "y"],
+    "ideal": ["x^2 - y^2"],
+    "localize_at": ["x", "y"],
+    "valuation": {"support": ["x - y"], "weights": {"x": [1], "y": [1]}, "rank": 1},
+}
+
+# The line over the point x = sqrt(2): its support is a principal
+# univariate irreducible and its center a zero dimensional prime.
+SQRT2_SCENE = {
+    "field": "Q",
+    "vars": ["x", "y"],
+    "ideal": ["x^2 - 2"],
+    "localize_at": ["y"],
+    "valuation": {"support": [], "weights": {"y": [1]}, "rank": 1},
+}
+
+
 @pytest.fixture
 def xy():
     return ring("x", "y")

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import NODE_SCENE, SQRT2_SCENE
 
 import lu.cli
 import lu.pipeline
@@ -222,3 +223,17 @@ def test_run_refuses_a_coefficient_with_no_value_mod_p(tmp_path, capsys):
     assert main(["run", scene]) == 1
     err = capsys.readouterr().err
     assert "1/3" in err and "GF(3)" in err
+
+
+def test_the_node_is_refused_at_its_minimal_primes(tmp_path, capsys):
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(NODE_SCENE))
+    assert main(["check", str(path)]) == 2
+    assert "cannot split (y^2 - x^2) into primes: not-prime" in capsys.readouterr().err
+
+
+def test_check_certifies_the_scene_over_the_square_root_of_two(tmp_path, capsys):
+    path = tmp_path / "sqrt2.json"
+    path.write_text(json.dumps(SQRT2_SCENE))
+    assert main(["check", str(path)]) == 0
+    assert "class: weight-homogeneous" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import pytest
 
+from lu import decomp
 from lu.decomp import (
     NOT_PRIME,
     PRIME,
@@ -25,6 +26,9 @@ def test_prime_verdicts(xy, uxy):
     assert is_prime(ideal(xy, "y^2 - x^3")).verdict == PRIME
     assert is_prime(ideal(uxy, "u*y - x^2")).verdict == PRIME
     assert is_prime(ideal(xy, "x*y - 1")).verdict == PRIME
+    # a principal univariate irreducible, and a zero dimensional field
+    assert is_prime(ideal(xy, "x^2 - 2")).verdict == PRIME
+    assert is_prime(ideal(xy, "x^2 - 2", "y^2 - 3")).verdict == PRIME
 
 
 def test_a_reordered_presentation_hits_the_memos(xy):
@@ -48,6 +52,17 @@ def test_not_prime_comes_with_a_witness(xy):
     v2 = is_prime(ideal(xy, "x^2 - y^2"))
     assert v2.verdict == NOT_PRIME
     assert sorted(p.text() for p in v2.witness) == ["-y + x", "y + x"]
+    # a variable that is a zero divisor modulo the binomials
+    v3 = is_prime(ideal(ring("x", "y", "z"), "x*y - x*z"))
+    assert v3.verdict == NOT_PRIME
+    assert [p.text() for p in v3.witness] == ["x", "-z + y"]
+    # a zero dimensional ideal whose primitive element's minimal polynomial splits
+    I = ideal(xy, "x^2 - 2", "y^2 - 2")
+    v4 = is_prime(I)
+    assert v4.verdict == NOT_PRIME
+    f, g = v4.witness
+    assert I.contains(f * g)
+    assert not I.contains(f) and not I.contains(g)
 
 
 def test_unknown_is_honest(xy):
@@ -70,6 +85,12 @@ def test_radical(xy):
     assert radical(ideal(xy, "x^2", "x*y")) == ideal(xy, "x")
     assert radical(ideal(xy, "x^2", "y^2")) == ideal(xy, "x", "y")
     assert radical(ideal(xy, "y^2 - x^3")) == ideal(xy, "y^2 - x^3")
+    assert radical(ideal(xy, "x^2 - y^2")) == ideal(xy, "x^2 - y^2")
+
+
+def test_radical_refuses_a_binomial_part_unsaturated_at_a_variable():
+    with pytest.raises(UnsupportedInstance, match="binomial part is not saturated"):
+        radical(ideal(ring("x", "y", "z"), "x*y - x*z"))
 
 
 def test_associated_primes_frozen(xy):
@@ -83,6 +104,10 @@ def test_associated_primes_frozen(xy):
         for a in associated_primes(ideal(R, "x^2", "x*y", "y^2", "v*x - u*y"))
     ]
     assert got == [["y", "x"]]
+    # the saturation split at y finds the embedded prime
+    I = ideal(ring("x", "y", "z"), "x^2", "x*y", "y - z")
+    got = [q.canonical_strings() for q in associated_primes(I)]
+    assert got == [["z - y", "x"], ["z", "y", "x"]]
 
 
 def test_intersection_of_associated_primes_is_the_radical(xy):
@@ -98,6 +123,8 @@ def test_intersection_of_associated_primes_is_the_radical(xy):
 def test_minimal_primes(xy):
     got = [a.canonical_strings() for a in minimal_primes(ideal(xy, "x*y"))]
     assert got == [["x"], ["y"]]
+    I = ideal(ring("x", "y", "z"), "x^2", "x*y", "y - z")
+    assert [q.canonical_strings() for q in minimal_primes(I)] == [["z - y", "x"]]
 
 
 def test_dimensions(xy, uxy):
@@ -106,3 +133,25 @@ def test_dimensions(xy, uxy):
     assert krull_dimension(ideal(xy, "x", "y")) == 0
     assert krull_dimension(ideal(uxy, "u*y - x^2")) == 2
     assert local_dimension(ideal(uxy, "x", "y"), ideal(uxy, "u", "x", "y")) == 1
+
+
+@pytest.mark.parametrize("gen", ["x^2 - y^2", "x^3 - y^3"])
+def test_a_leaf_not_certified_prime_is_refused_not_returned(xy, gen):
+    """No splitter is found for these radicals and neither is prime: the
+    search failed, the input is not wrong."""
+    for primes in (associated_primes, minimal_primes):
+        with pytest.raises(UnsupportedInstance, match=r"into primes: not-prime, witness"):
+            primes(ideal(xy, gen))
+
+
+def test_minimal_primes_takes_no_colon_certificate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("minimal_primes certified a colon")
+
+    monkeypatch.setattr(decomp, "_certify_associated", refuse)
+    monkeypatch.setattr(decomp, "associated_primes", refuse)
+    R = ring("x", "y", "z")
+    got = [q.canonical_strings() for q in minimal_primes(ideal(R, "y^2 - x^3"))]
+    assert got == [["y^2 - x^3"]]
+    I = ideal(R, "x^2", "x*y", "y - z")
+    assert [q.canonical_strings() for q in minimal_primes(I)] == [["z - y", "x"]]

@@ -287,7 +287,7 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
     expected = {
         "F1": (29, 67, 16),
         "F2": (69, 786, 306),
-        "F3": (46, 216, 158),
+        "F3": (45, 215, 158),
         "F4": (8, 9, 3),
     }
     for name, counts in expected.items():

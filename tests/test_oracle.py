@@ -1,5 +1,6 @@
-"""The Groebner engine and the ideal operations against an independent
-oracle, sympy's `groebner`.
+"""The Groebner engine, the ideal operations, minimal polynomials and
+minimal primes against an independent oracle, sympy's `groebner` and
+`factor_list`.
 
 sympy is a test dependency only; the runtime keeps no CAS.  Inputs are small
 seeded random ideals and modules over Q and F_p.  The ideal operations are
@@ -20,10 +21,13 @@ from fractions import Fraction
 
 import pytest
 
+from lu.decomp import minimal_polynomial, minimal_primes
+from lu.errors import LuError
 from lu.fields import GF, QQ
 from lu.ideals import Ideal, buchberger
 from lu.modules import module_groebner
 from lu.orders import DegRevLex, Lex
+from lu.parse import parse_many, parse_poly
 from lu.poly import Polynomial, PolyRing
 
 sp = pytest.importorskip("sympy")
@@ -230,3 +234,54 @@ def test_saturation_matches_the_rabinowitsch_formula(field):
             if chain[-1] == chain[-2]:
                 break
         assert N == len(chain) - 2, (I, f.text())
+
+
+# Minimal polynomials and minimal primes (Cox, Little & O'Shea, ch. 3 §1 and
+# ch. 4 §7): the minimal polynomial of f modulo a zero dimensional I is the
+# monic generator of (I + (T - f)) ∩ k[T], and the minimal primes of a
+# principal ideal are generated by the irreducible factors of its generator.
+
+ZERO_DIMENSIONAL = [
+    ("x^2 - 2", "y^2 - 3"),
+    ("x^2 - 2", "y^2 - 2"),
+    ("x^3 - x", "y^2 - x"),
+    ("x^2", "y^2"),
+    ("x^2 + y", "y^3 - 1"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_minimal_polynomial_is_the_eliminant_of_a_lex_basis(field):
+    R = PolyRing(field, ("x", "y"))
+    syms = sp.symbols("x y")
+    T = sp.Symbol("T")
+    opts = {"modulus": field.p} if field.char else {"domain": sp.QQ}
+    for gens in ZERO_DIMENSIONAL:
+        I = Ideal(R, parse_many(R, list(gens)))
+        A = [_to_expr(g, syms) for g in I.gens]
+        for text in ("x", "y", "x + y", "x*y + 1", "x - 2*y^2"):
+            f = parse_poly(R, text)
+            (g,) = _eliminated(A + [T - _to_expr(f, syms)], syms, [T], field)
+            coeffs = sp.Poly(g, T, **opts).monic().all_coeffs()[::-1]
+            want = [field.coerce(int(c)) if field.char else Fraction(int(c.p), int(c.q))
+                    for c in coeffs]
+            assert minimal_polynomial(I, f) == want, (gens, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["x^2 - 2", "x*y", "y^2 - x^3", "x^2 - y^2", "x^3 - y^3", "x^2*y - y"]
+)
+def test_minimal_primes_are_the_irreducible_factors_or_a_refusal(text):
+    R = PolyRing(QQ, ("x", "y"))
+    syms = sp.symbols("x y")
+    f = parse_poly(R, text)
+    _, factors = sp.factor_list(_to_expr(f, syms))
+    want = sorted(
+        Ideal(R, [_from_sympy(sp.Poly(p, *syms), R)]).canonical_strings()
+        for p, _ in factors
+    )
+    try:
+        got = sorted(q.canonical_strings() for q in minimal_primes(Ideal(R, [f])))
+    except LuError:
+        return
+    assert got == want

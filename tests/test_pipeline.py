@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from conftest import scene
+from conftest import NODE_SCENE, scene
 
 import lu.scenes
 from lu import ideals, pipeline
@@ -268,6 +268,12 @@ def test_run_reduction_reports_unsupported_instances():
     trace = run_reduction(*bad)
     assert trace.verdict == "Unsupported"
     assert "weight homogeneous" in trace.reason
+
+
+def test_run_reduction_refuses_the_node_at_its_minimal_primes():
+    trace = run_reduction(*load_scene(NODE_SCENE))
+    assert trace.verdict == "Unsupported"
+    assert trace.reason.startswith("cannot split (y^2 - x^2) into primes: not-prime")
 
 
 def test_run_reduction_is_deterministic():

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import SQRT2_SCENE
 
 import lu.scenes
 from lu.errors import DimensionMismatch, SceneError
@@ -175,6 +176,14 @@ def test_replay_reproduces_every_fixture():
     for name in ("F1", "F2", "F3", "F4"):
         trace = run_reduction(*load_scene(name))
         assert replay_trace(name, trace_to_json(trace)) == [], name
+
+
+def test_the_scene_over_the_square_root_of_two_replays_clean():
+    """Its support is prime as a principal univariate irreducible and its
+    center as a zero dimensional ideal with a primitive element."""
+    trace = run_reduction(*load_scene(SQRT2_SCENE))
+    assert trace.verdict == "Uniformized" and trace.steps == []
+    assert replay_trace(SQRT2_SCENE, trace_to_json(trace)) == []
 
 
 def test_replay_catches_tampering():
