@@ -12,8 +12,9 @@ The zero dimensional class reads minimal polynomials, each the generator of
 Associated and minimal primes come from one split, `_split_primes`: a
 splitter f gives the checked identity I = (I : f^∞) ∩ (I + (f^n)), and a
 leaf with no splitter yields its radical only when `is_prime` certifies
-that radical, so every prime returned is certified and an uncertified leaf
-is refused.  `associated_primes` keeps a leaf that some colon (I : c)
+that radical, so every prime returned is certified.  A leaf whose radical
+`is_prime` refutes with a witness (g, h) is split at g, and one it cannot
+decide is refused.  `associated_primes` keeps a leaf that some colon (I : c)
 certifies or that is minimal; `minimal_primes` is the minimal leaves of the
 radical's split, with no colon certificate, since a radical ideal has no
 embedded primes.
@@ -32,7 +33,6 @@ from . import unifactor
 from .errors import CertificationError, LuError, UnsupportedInstance
 from .ideals import MEMO_CAP, Ideal
 from .lattice import saturation_defect
-from .orders import DegRevLex
 from .poly import mono_divides, mono_gcd
 
 PRIME = "prime"
@@ -241,7 +241,7 @@ def standard_monomials(I):
     if I.is_unit_ideal():
         return []
     gb = I.groebner()
-    order = DegRevLex(I.ring.n)
+    order = I.ring.degrevlex
     lts = [g.leading(order)[0] for g in gb]
     n = I.ring.n
     bounds = []
@@ -470,7 +470,8 @@ def _certify_radical(J, zero_dim_reduced):
 def _find_splitter(I, P):
     """f outside P = rad(I) with (I : f) != I, or None when the search finds
     none: then I is believed primary, and `_split_primes` takes P as its
-    one prime only once `is_prime` certifies it."""
+    one prime only once `is_prime` certifies it, and splits at the witness
+    where `is_prime` refutes it."""
     ring = I.ring
     tried = set()
     frontier = [ring.var(nm) for nm in sorted(ring.names)]
@@ -535,13 +536,14 @@ def _split_primes(I, depth):
         verdict = is_prime(P)
         if verdict.is_prime:
             return [P]
-        why = verdict.reason
-        if verdict.witness:
-            why = "witness ({})*({})".format(*(w.text() for w in verdict.witness))
-        raise UnsupportedInstance(
-            f"cannot split ({', '.join(P.canonical_strings())}) into primes: "
-            f"{verdict.verdict}, {why}"
-        )
+        if not verdict.witness:
+            raise UnsupportedInstance(
+                f"cannot split ({', '.join(P.canonical_strings())}) into primes: "
+                f"{verdict.verdict}, {verdict.reason}"
+            )
+        # g, h outside P with g*h in P: some g^m*h^m lies in I and h^m does
+        # not, so (I : g) != I and g splits I
+        f = verdict.witness[0]
     sat, n = I.saturation(f)
     other = I + [f**max(n, 1)]
     if sat.intersect(other) != I:
@@ -614,7 +616,7 @@ def krull_dimension(I):
     if I.is_unit_ideal():
         return -1
     gb = I.groebner()
-    order = DegRevLex(ring.n)
+    order = ring.degrevlex
     supports = [
         frozenset(i for i, x in enumerate(g.leading(order)[0]) if x) for g in gb
     ]

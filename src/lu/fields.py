@@ -63,9 +63,6 @@ class Rationals:
     def add(self, a, b):
         return _canonical(a + b)
 
-    def sub(self, a, b):
-        return _canonical(a - b)
-
     def mul(self, a, b):
         return _canonical(a * b)
 
@@ -131,9 +128,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

@@ -71,7 +71,7 @@ from functools import lru_cache
 from operator import le, mul
 
 from .errors import LuError, ResourceLimit
-from .orders import DegRevLex, elimination_order
+from .orders import elimination_order
 from .poly import (
     Polynomial,
     mono_deg,
@@ -387,7 +387,7 @@ class Ideal:
         return entry
 
     def groebner(self, order=None):
-        return self._entry(order or DegRevLex(self.ring.n))[0]
+        return self._entry(order or self.ring.degrevlex)[0]
 
     def canonical_gb(self):
         return self.groebner(self.ring.canonical)
@@ -401,7 +401,7 @@ class Ideal:
         ring = self.ring
         if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
             raise LuError(f"{f!r} is not a polynomial of {ring!r}")
-        order = order or DegRevLex(ring.n)
+        order = order or ring.degrevlex
         entry = self._entry(order)
         if entry[1] is None:
             entry[1] = _reducer_rows(entry[0], order)
@@ -438,7 +438,7 @@ class Ideal:
         if other.ring != self.ring:
             raise LuError("product of ideals from different rings")
         gens = [a * b for a in self.groebner() for b in other.groebner()]
-        return Ideal(self.ring, groebner_basis(gens, DegRevLex(self.ring.n)))
+        return Ideal(self.ring, groebner_basis(gens, self.ring.degrevlex))
 
     def power(self, k):
         if k < 0:

@@ -3,8 +3,8 @@
 A LocalRing is k[x1..xn]/I seen at a prime center containing I.  All the
 module arithmetic happens with ambient polynomial data: the nilpotent
 filtration is the radical filtration N^n + I, its graded pieces are finitely
-presented over R/N, and local statements at a prime are decided by matrix
-ranks over the residue field together with colon escapes.
+presented over R/N, and local statements at a prime are decided by one
+elimination at the prime (`lu.modules`) together with colon escapes.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 from .decomp import local_dimension, radical, require_prime
 from .errors import CertificationError, UnsupportedInstance
 from .ideals import Ideal
-from .modules import minors, rank_mod_prime, reduce_entries, relation_module
+from .modules import eliminate_at_prime, rank_mod_prime, reduce_entries, relation_module
 
 MAX_NILPOTENT_LENGTH = 8
 
@@ -165,10 +165,13 @@ class Freeness:
 def is_free_at(L, n, prime=None):
     """Is the n-th graded piece free after localizing at `prime`?
 
-    Fitting criterion for a finitely presented module over a local ring: with
-    r = generators minus relation rank over the residue field, the module is
-    free of rank r exactly when every (rank+1)-minor of the relation matrix
-    vanishes in the localized reduced ring.
+    Fitting criterion for a finitely presented module over a local ring:
+    with q the relation rank over the residue field, the module is free of
+    rank generators - q exactly when every (q+1)-minor of the relation matrix
+    vanishes in the localized reduced ring.  The elimination at the prime,
+    with entries reduced modulo N, pivots on units only, so those minors
+    generate there the same ideal as the entries of its residual block:
+    the piece is free exactly when every residual entry vanishes.
     """
     prime = prime or L.center
     gens, rows = graded_piece(L, n)
@@ -176,14 +179,13 @@ def is_free_at(L, n, prime=None):
     if s == 0 or not rows:
         return Freeness(True, s)
     N = L.nilradical()
-    q = rank_mod_prime(rows, prime)
-    r = s - q
-    if q + 1 <= min(len(rows), s):
-        for _, _, d in minors(rows, q + 1):
-            if N.contains(d):
-                continue
-            # zero in the localization iff some multiplier outside the prime kills it
-            if not prime.contains_ideal(N.colon(d)):
+    pivots, residual = eliminate_at_prime(rows, prime, N)
+    r = s - len(pivots)
+    for row in residual:
+        for d in row:
+            # entries are reduced modulo N; a nonzero one is zero in the
+            # localization iff some multiplier outside the prime kills it
+            if d.is_zero() or not prime.contains_ideal(N.colon(d)):
                 continue
             return Freeness(False, r, witness=d)
     return Freeness(True, r)

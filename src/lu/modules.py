@@ -1,4 +1,4 @@
-"""Syzygies of generator lists and matrix ranks over residue fields.
+"""Syzygies of generator lists and the one matrix elimination at a prime.
 
 Vectors are tuples of polynomials.  A submodule of R^s has no Groebner
 engine of its own: `module_groebner` writes each vector as sum f_k*e_k over
@@ -8,11 +8,20 @@ term with position 0 strongest, which is what makes first-component
 elimination work: basis elements whose first entry is zero generate exactly
 the relations that land in the allowed modulus.  `relation_module` is also
 the route `Ideal.colon` and `Ideal.intersect` take.
+
+Every matrix question at a prime goes through `eliminate_at_prime`.  Its
+pivot count is the rank over the residue field.  Its pivots are units at
+the prime, so after column operations the matrix is a unit triangular block
+beside the residual block, and row and column operations that are
+invertible at the prime leave the Fitting ideals there unchanged.  So with
+q pivots the (q+1)-minors generate, at the prime, the same ideal as the
+residual entries, and a presentation is free at the prime exactly when its
+residual block vanishes there (Eisenbud, Commutative Algebra, sec. 20.2).
 """
 
 from .errors import LuError
 from .ideals import groebner_basis
-from .orders import DegRevLex, PositionOverTerm
+from .orders import PositionOverTerm
 from .poly import Polynomial
 
 
@@ -32,7 +41,7 @@ def module_groebner(vectors):
         Polynomial(big, {e + onehot[k]: c for k, f in enumerate(v) for e, c in f.terms.items()})
         for v in vecs
     ]
-    order = PositionOverTerm(DegRevLex(n), s)
+    order = PositionOverTerm(ring.degrevlex, s)
     out = []
     for g in groebner_basis(gens, order):
         parts = [{} for _ in range(s)]
@@ -74,68 +83,47 @@ def reduce_entries(vec, ideal):
     return tuple(ideal.normal_form(c) for c in vec)
 
 
-def determinant(rows):
-    """Cofactor expansion; fine for the small matrices this package meets."""
-    n = len(rows)
-    if n == 0:
-        raise LuError("determinant of an empty matrix")
-    if any(len(r) != n for r in rows):
-        raise LuError("determinant of a non-square matrix")
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    acc = ring.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * determinant(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def eliminate_at_prime(rows, prime, modulus=None):
+    """Division free elimination of a matrix over the localization at a prime.
+
+    Entries are reduced against `modulus` (the prime itself by default).
+    Rows are taken in order: each is cleared in the pivot columns found so
+    far and becomes a pivot row at its first entry outside the prime, or a
+    residual row when every entry lies in the prime.  Clearing is
+    r -> p*r - c*pivot with p the pivot entry, a unit at the prime, so it is
+    invertible there.  Returns (pivots, residual): pivots are
+    (row index, column, row), each row zero in the earlier pivot columns;
+    residual rows are zero in every pivot column and have all entries in the
+    prime.  Once every column has a pivot, the rows left would clear to zero
+    and are dropped.
+    """
+    modulus = modulus or prime
+    inside = Polynomial.is_zero if modulus is prime else prime.contains
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise LuError("elimination of a ragged matrix")
+    pivots, residual = [], []
+    for i, r in enumerate(rows):
+        if len(pivots) == ncols:
+            break
+        r = _clear([modulus.normal_form(c) for c in r], pivots, modulus)
+        col = next((j for j, c in enumerate(r) if not inside(c)), None)
+        if col is None:
+            residual.append(r)
+        else:
+            pivots.append((i, col, r))
+    return pivots, [_clear(r, pivots, modulus) for r in residual]
 
 
-def minors(rows, k):
-    """All k by k minors as (row_idx, col_idx, det), in index order."""
-    from itertools import combinations
-
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    for ri in combinations(range(m), k):
-        for ci in combinations(range(n), k):
-            sub = [[rows[i][j] for j in ci] for i in ri]
-            yield ri, ci, determinant(sub)
+def _clear(row, pivots, modulus):
+    for _, col, piv in pivots:
+        c = row[col]
+        if not c.is_zero():
+            p = piv[col]
+            row = [modulus.normal_form(p * a - c * b) for a, b in zip(row, piv)]
+    return row
 
 
 def rank_mod_prime(rows, prime):
-    """Rank over the residue field at a prime, by division free elimination.
-
-    The row operation r -> p*r - c*pivot scales by a residue p that is
-    nonzero at the prime, which preserves rank over a domain; entries stay
-    reduced against the prime so zero tests are normal form checks.
-    """
-    if not rows or not rows[0]:
-        return 0
-    work = [[prime.normal_form(c) for c in r] for r in rows]
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise LuError("rank of a ragged matrix")
-    rank = 0
-    free = list(range(len(work)))
-    for col in range(ncols):
-        piv = next((i for i in free if not work[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rank += 1
-        free.remove(piv)
-        if rank == min(len(work), ncols):
-            break
-        pv = work[piv][col]
-        for i in free:
-            ci = work[i][col]
-            if ci.is_zero():
-                continue
-            work[i] = [
-                prime.normal_form(pv * a - ci * b)
-                for a, b in zip(work[i], work[piv])
-            ]
-    return rank
+    """Rank over the residue field at a prime: the pivot count of the elimination."""
+    return len(eliminate_at_prime(rows, prime)[0])

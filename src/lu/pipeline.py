@@ -40,7 +40,7 @@ from .localring import (
     is_regular_local,
     nilpotent_length,
 )
-from .modules import rank_mod_prime, relation_module
+from .modules import eliminate_at_prime, relation_module
 from .blowup import (
     lift_from_localization,
     lift_from_quotient,
@@ -160,28 +160,19 @@ def _select_basis(ring, gens, rows, prime, nu):
     """Smallest generator subset whose classes span the cokernel at a prime.
 
     Generators are tried in ascending value order (then input order), so a
-    chart variable beats the products it divides; rank is tested over the
-    residue field by adjoining unit rows.
+    chart variable beats the products it divides: one elimination of the
+    rows followed by the unit rows in that order makes a unit a pivot
+    exactly when it raises the rank over the residue field.
     """
     s = len(gens)
     order = sorted(range(s), key=lambda i: (nu.value_of(gens[i]), i))
-    aug = [list(r) for r in rows]
-    rank = rank_mod_prime(aug, prime) if aug else 0
-    chosen = []
-    for i in order:
-        if rank == s:
-            break
-        unit = [ring.one() if j == i else ring.zero() for j in range(s)]
-        r2 = rank_mod_prime(aug + [unit], prime)
-        if r2 > rank:
-            chosen.append(i)
-            aug.append(unit)
-            rank = r2
-    if rank != s:
+    units = [[ring.one() if j == i else ring.zero() for j in range(s)] for i in order]
+    pivots, _ = eliminate_at_prime(list(rows) + units, prime)
+    if len(pivots) != s:
         raise CertificationError(
             "basis selection", "generators do not span at the prime"
         )
-    return sorted(chosen)
+    return sorted(order[k - len(rows)] for k, _, _ in pivots if k >= len(rows))
 
 
 def _absorption(L, p1, basis, modulus, g):

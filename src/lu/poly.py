@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import DimensionMismatch, ExponentOverflow, LuError
-from .orders import canonical_order
+from .orders import DegRevLex, canonical_order
 
 EXP_CAP = 1 << 16
 
@@ -47,9 +47,13 @@ def mono_deg(a):
 
 
 class PolyRing:
-    """Polynomial ring over a fixed field with an ordered tuple of named variables."""
+    """Polynomial ring over a fixed field with an ordered tuple of named variables.
 
-    __slots__ = ("field", "names", "index", "canonical")
+    It carries its two orders: `canonical`, for printed and traced bases, and
+    `degrevlex`, the default order of its ideals' bases and normal forms.
+    """
+
+    __slots__ = ("field", "names", "index", "canonical", "degrevlex")
 
     def __init__(self, field, names):
         names = tuple(names)
@@ -59,6 +63,7 @@ class PolyRing:
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
         self.canonical = canonical_order(names)
+        self.degrevlex = DegRevLex(len(names))
 
     @property
     def n(self):

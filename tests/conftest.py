@@ -29,8 +29,8 @@ def scene(names, gens, loc, supp, columns, rank, field=QQ):
     return LocalRing(R, I, center), WeightValuation(R, support, rows)
 
 
-# The node y^2 = x^2 at the origin.  No splitter separates its two lines, so
-# the minimal primes of its ideal are refused rather than guessed.
+# The node y^2 = x^2 at the origin.  No splitter separates its two lines;
+# the primality witness of its radical does.
 NODE_SCENE = {
     "field": "Q",
     "vars": ["x", "y"],

@@ -225,11 +225,19 @@ def test_run_refuses_a_coefficient_with_no_value_mod_p(tmp_path, capsys):
     assert "1/3" in err and "GF(3)" in err
 
 
-def test_the_node_is_refused_at_its_minimal_primes(tmp_path, capsys):
+def test_the_node_splits_at_its_minimal_primes(tmp_path, capsys):
     path = tmp_path / "node.json"
     path.write_text(json.dumps(NODE_SCENE))
-    assert main(["check", str(path)]) == 2
-    assert "cannot split (y^2 - x^2) into primes: not-prime" in capsys.readouterr().err
+    assert main(["check", str(path)]) == 0
+    assert "reduced regular: False (embdim=2, dim=1)" in capsys.readouterr().out
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ass-prime: b=y + x a=[] " in out
+    assert "verdict: Uniformized" in out and "ideal: ['y - x']" in out
+    cubic = tmp_path / "cubic.json"
+    cubic.write_text(json.dumps(dict(NODE_SCENE, ideal=["x^3 - y^3"])))
+    assert main(["check", str(cubic)]) == 2
+    assert "radical certificate classes exhausted" in capsys.readouterr().err
 
 
 def test_check_certifies_the_scene_over_the_square_root_of_two(tmp_path, capsys):

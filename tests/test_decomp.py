@@ -135,12 +135,22 @@ def test_dimensions(xy, uxy):
     assert local_dimension(ideal(uxy, "x", "y"), ideal(uxy, "u", "x", "y")) == 1
 
 
-@pytest.mark.parametrize("gen", ["x^2 - y^2", "x^3 - y^3"])
-def test_a_leaf_not_certified_prime_is_refused_not_returned(xy, gen):
-    """No splitter is found for these radicals and neither is prime: the
-    search failed, the input is not wrong."""
+def test_the_node_splits_at_its_primality_witness(xy):
+    """No splitter is found for (x^2 - y^2), but `is_prime` refutes it with
+    a witness, and the split at that witness gives the two lines."""
     for primes in (associated_primes, minimal_primes):
-        with pytest.raises(UnsupportedInstance, match=r"into primes: not-prime, witness"):
+        got = [q.canonical_strings() for q in primes(ideal(xy, "x^2 - y^2"))]
+        assert got == [["y + x"], ["y - x"]]
+
+
+@pytest.mark.parametrize("gen", ["x^3 - y^3"])
+def test_a_leaf_not_certified_prime_is_refused_not_returned(xy, gen):
+    """The witness split leaves the leaf x^2 + x*y + y^2, whose radical no
+    certificate class reaches: the search failed, the input is not wrong."""
+    with pytest.raises(UnsupportedInstance, match="radical certificate classes exhausted"):
+        radical(ideal(xy, "x^2 + x*y + y^2"))
+    for primes in (associated_primes, minimal_primes):
+        with pytest.raises(UnsupportedInstance, match="radical certificate classes exhausted"):
             primes(ideal(xy, gen))
 
 

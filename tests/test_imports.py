@@ -70,7 +70,11 @@ def _uncalled_definitions(sources, exported):
     aside.  A module-level `f` of `m.py` is referred to by the bare name `f`
     or by `m.f`; a method only by an attribute access `.f`, so a function or
     local variable of the same name does not count for it.  Names in
-    `exported`, dunders and overrides of library hooks are exempt."""
+    `exported`, dunders and overrides of library hooks are exempt.
+
+    Blind spot: a method counts any `.name` access as its referrer, whatever
+    the receiver, so an uncalled method that shares its name with a called
+    one (as a field's `sub` would with the pipeline's `run.sub(...)`) passes."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = []

@@ -2,7 +2,7 @@
 
 import itertools
 
-from conftest import ideal as ideal_of
+from conftest import ideal as ideal_of, ring
 
 from lu import ideals
 from lu.blowup import local_blowup
@@ -228,6 +228,24 @@ def test_fitting_oracle_agrees(xy, uvxy):
         assert got.free == expect_free
         if expect_free:
             assert got.rank == expect_rank
+
+
+def test_fitting_oracle_agrees_where_the_relations_have_rank():
+    """Two nilpotent lines, x and z, with relations y*x and w*z: at (w, x, z)
+    only y is a unit, so the relation rank is 1 of 2 rows; at (x, y, z) only
+    w is, and at (x, z) both are."""
+    R = ring("w", "x", "y", "z")
+    local = LocalRing(
+        R, ideal_of(R, "x^2", "x*z", "z^2", "x*y", "w*z"), ideal_of(R, "w", "x", "y", "z")
+    )
+    gens, rows = graded_piece(local, 1)
+    expected = {("w", "x", "z"): (False, 1), ("x", "y", "z"): (False, 1), ("x", "z"): (True, 0)}
+    for names, (free, rank) in expected.items():
+        prime = ideal_of(R, *names)
+        assert _free_by_fitting(local, 1, prime) == (free, rank)
+        assert 0 < len(gens) - rank <= len(rows) == 2
+        got = is_free_at(local, 1, prime=prime)
+        assert (got.free, got.rank) == (free, rank)
 
 
 def test_nilradical_min_gens_tests_each_candidate_once(monkeypatch):

@@ -2,21 +2,24 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import lu
+from lu.errors import CertificationError
 from lu.ideals import Ideal
 from lu.modules import (
-    determinant,
-    minors,
+    eliminate_at_prime,
     module_groebner,
     rank_mod_prime,
     reduce_entries,
     relation_module,
 )
 from lu.parse import parse_many, parse_poly
+from lu.pipeline import _select_basis
 
 from conftest import ideal, ring
 
@@ -50,19 +53,6 @@ def test_relation_module_frozen(xy):
     assert _texts(rows) == [["y", "0"], ["0", "x"]]
 
 
-def test_determinant_and_minors(xy):
-    x, y = xy.var("x"), xy.var("y")
-    rows = [[x, y], [y, x]]
-    assert determinant(rows) == x * x - y * y
-    got = list(minors(rows, 1))
-    assert [(ri, ci, d.text()) for ri, ci, d in got] == [
-        ((0,), (0,), "x"),
-        ((0,), (1,), "y"),
-        ((1,), (0,), "y"),
-        ((1,), (1,), "x"),
-    ]
-
-
 def test_rank_mod_prime_basics(xy):
     x, y = xy.var("x"), xy.var("y")
     one, zero = xy.one(), xy.zero()
@@ -75,27 +65,50 @@ def test_rank_mod_prime_basics(xy):
     assert rank_mod_prime([], m) == 0
 
 
+def _det(rows):
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = rows[0][0].ring.zero()
+    for j in range(len(rows)):
+        term = rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _minors(rows, k):
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(len(rows[0])), k):
+            yield _det([[rows[i][j] for j in ci] for i in ri])
+
+
 def _rank_by_minors(rows, prime):
     """Independent oracle: largest k with some k-minor nonzero at the prime."""
     if not rows or not rows[0]:
         return 0
     best = 0
     for k in range(1, min(len(rows), len(rows[0])) + 1):
-        if any(
-            not prime.normal_form(d).is_zero() for _, _, d in minors(rows, k)
-        ):
+        if any(not prime.normal_form(d).is_zero() for d in _minors(rows, k)):
             best = k
         else:
             break
     return best
 
 
-def test_rank_agrees_with_minor_search(xy):
-    rng = random.Random(0xC0FFEE)
-    pool = parse_many(
+def _primes(xy):
+    return [ideal(xy, "x", "y"), ideal(xy, "x"), ideal(xy, "y^2 - x^3")]
+
+
+def _pool(xy):
+    return parse_many(
         xy, ["0", "0", "1", "x", "y", "x + 1", "x*y", "y - 1", "x - y"]
     )
-    primes = [ideal(xy, "x", "y"), ideal(xy, "x"), ideal(xy, "y^2 - x^3")]
+
+
+def test_rank_agrees_with_minor_search(xy):
+    rng = random.Random(0xC0FFEE)
+    pool = _pool(xy)
+    primes = _primes(xy)
     for trial in range(40):
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 4)
@@ -105,6 +118,80 @@ def test_rank_agrees_with_minor_search(xy):
             [[c.text() for c in r] for r in rows],
             p.canonical_strings(),
         )
+
+
+def test_elimination_leaves_unit_pivots_and_a_residual_block_in_the_prime(xy):
+    """Pivots are units at the prime, each pivot row is zero in the earlier
+    pivot columns, and the residual rows are zero in every pivot column with
+    all entries in the prime, whether entries are reduced against the prime
+    or not at all."""
+    rng = random.Random(0xE11)
+    pool = _pool(xy)
+    for trial in range(40):
+        n = rng.randrange(1, 4)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randrange(1, 5))]
+        for p in _primes(xy):
+            for modulus in (None, ideal(xy)):
+                pivots, residual = eliminate_at_prime(rows, p, modulus)
+                cols = [col for _, col, _ in pivots]
+                for k, (_, col, row) in enumerate(pivots):
+                    assert not p.contains(row[col])
+                    assert all(row[c].is_zero() for c in cols[:k])
+                for row in residual:
+                    assert all(row[c].is_zero() for c in cols)
+                    assert all(p.contains(c) for c in row)
+                assert len(pivots) == _rank_by_minors(rows, p)
+
+
+def _greedy_basis(ring, gens, rows, prime, nu):
+    """The greedy `_select_basis` replaced: the rank of the rows plus the
+    chosen units, recomputed for each candidate in value order; None where
+    it refuses."""
+    s = len(gens)
+    order = sorted(range(s), key=lambda i: (nu.value_of(gens[i]), i))
+    aug = [list(r) for r in rows]
+    rank = _rank_by_minors(aug, prime)
+    chosen = []
+    for i in order:
+        if rank == s:
+            break
+        unit = [ring.one() if j == i else ring.zero() for j in range(s)]
+        r2 = _rank_by_minors(aug + [unit], prime)
+        if r2 > rank:
+            chosen.append(i)
+            aug.append(unit)
+            rank = r2
+    return sorted(chosen) if rank == s else None
+
+
+def _values(table):
+    return SimpleNamespace(value_of=lambda f: table[f.text()])
+
+
+def test_select_basis_agrees_with_the_greedy_rank_search(xy):
+    rng = random.Random(0xBA515)
+    pool = _pool(xy)
+    names = ["x", "y", "x*y", "x^2", "y + 1"]
+    for trial in range(40):
+        s = rng.randrange(1, 5)
+        gens = parse_many(xy, rng.sample(names, s))
+        nu = _values({g.text(): rng.randrange(3) for g in gens})
+        rows = [[rng.choice(pool) for _ in range(s)] for _ in range(rng.randrange(4))]
+        for p in _primes(xy):
+            assert _select_basis(xy, gens, rows, p, nu) == _greedy_basis(
+                xy, gens, rows, p, nu
+            ), ([[c.text() for c in r] for r in rows], p.canonical_strings())
+
+
+def test_select_basis_refuses_where_the_units_do_not_span(xy):
+    """Over a prime the unit rows always span; only an ideal that contains
+    1, where no entry is a unit, leaves the rank short."""
+    gens = parse_many(xy, ["x", "y"])
+    nu = _values({"x": 1, "y": 2})
+    everything = ideal(xy, "1")
+    assert _greedy_basis(xy, gens, [], everything, nu) is None
+    with pytest.raises(CertificationError, match="generators do not span"):
+        _select_basis(xy, gens, [], everything, nu)
 
 
 def test_reduce_entries(xy):

@@ -270,10 +270,15 @@ def test_run_reduction_reports_unsupported_instances():
     assert "weight homogeneous" in trace.reason
 
 
-def test_run_reduction_refuses_the_node_at_its_minimal_primes():
+def test_run_reduction_splits_the_node_at_its_minimal_primes():
+    """One ass-prime blowup at y + x leaves the line y = x that carries the
+    support."""
     trace = run_reduction(*load_scene(NODE_SCENE))
-    assert trace.verdict == "Unsupported"
-    assert trace.reason.startswith("cannot split (y^2 - x^2) into primes: not-prime")
+    assert trace.verdict == "Uniformized"
+    [step] = trace.steps
+    assert (step.label, step.blowup.b.text(), step.blowup.a_list) == ("ass-prime", "y + x", ())
+    assert step.report["ass_before"] == 2 and step.report["ass_after"] == 1
+    assert trace.final_ring.defining.canonical_strings() == ["y - x"]
 
 
 def test_run_reduction_is_deterministic():
