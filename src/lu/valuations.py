@@ -9,6 +9,19 @@ variables, or an ideal whose reduced basis is weight homogeneous (then the
 weight graded ring of R is R itself regraded, so multiplicativity is the
 primality of P and no representative can beat the normal form).  certify()
 refuses anything else rather than returning values that may undershoot.
+
+Values are read by linearity.  Division by a reduced Groebner basis leaves
+the unique remainder with no term in the leading ideal, so the normal form
+is linear: NF(sum c_e x^e) = sum c_e NF(x^e).  A valuation keeps NF(x^e),
+with the weight vector of each of its monomials, in a table of its own, the
+first time a monomial e reaches `value_of`; every later value reading that
+monomial adds its stored terms instead of dividing again.  The equality
+needs neither homogeneity nor primality of the support, so an uncertified
+valuation reads the same values as one that divides each element whole.
+The table lives and dies with its valuation and holds one entry per
+distinct monomial passed in: for `axiom_violations`, whose samples have
+degree at most 4, that is at most C(n + 8, n) entries, the monomials of
+degree at most 8 that a product of two samples reaches.
 """
 
 import random
@@ -110,7 +123,7 @@ class Value:
 class WeightValuation:
     """Support prime plus a weight row per rank coordinate."""
 
-    __slots__ = ("ring", "support", "rows", "_order")
+    __slots__ = ("ring", "support", "rows", "_order", "_monomial_nf")
 
     def __init__(self, ring, support, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
@@ -127,6 +140,8 @@ class WeightValuation:
         self.support = support
         self.rows = rows
         self._order = weight_order(rows, ring.n)
+        # exps -> the normal form of x^exps as (exps, coeff, weight vector) items
+        self._monomial_nf = {}
 
     @property
     def rank(self):
@@ -142,15 +157,42 @@ class WeightValuation:
     def value_of(self, f):
         """The least weight vector among the monomials of f's normal form.
 
-        Each row weighs every monomial in one pass, and zip pairs the rows'
-        weights into vectors.
+        Division by the support's reduced basis is unique, hence linear, so
+        the normal form is summed term by term, NF(f) = sum c_e NF(x^e), from
+        the valuation's table of monomial normal forms.  A monomial missing
+        there is divided once, against that basis under the valuation's
+        order, and stored with each remainder monomial's weight vector; the
+        table grows by one entry per distinct monomial passed in, and no
+        further.  Coefficients that cancel in the sum are dropped, and an
+        empty sum is the infinite value.
         """
-        nf = self.support.normal_form(f, self._order)
-        if nf.is_zero():
-            return Value(None)
-        terms = nf.terms
-        weights = [[sum(map(mul, r, e)) for e in terms] for r in self.rows]
-        return Value._of(min(zip(*weights)))
+        ring = self.ring
+        # a table hit skips Ideal.normal_form, so its guard is repeated here:
+        # another ring's exponents would be read against this ring's weights
+        if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
+            raise LuError(f"{f!r} is not a polynomial of {ring!r}")
+        table = self._monomial_nf
+        F = ring.field
+        add, fmul = F.add, F.mul
+        acc, weight = {}, {}
+        for e, c in f.terms.items():
+            nf = table.get(e)
+            if nf is None:
+                nf = table[e] = self._divide_monomial(e)
+            for e2, c2, w in nf:
+                if e2 in acc:
+                    acc[e2] = add(acc[e2], fmul(c, c2))
+                else:
+                    acc[e2] = fmul(c, c2)
+                    weight[e2] = w
+        zero = F.zero
+        left = [weight[e] for e, c in acc.items() if c != zero]
+        return Value._of(min(left)) if left else Value(None)
+
+    def _divide_monomial(self, e):
+        """NF(x^e) as (exps, coeff, weight vector) items."""
+        nf = self.support.normal_form(self.ring.monomial(e), self._order)
+        return tuple((e2, c2, self.weight_of_exps(e2)) for e2, c2 in nf.terms.items())
 
     def __repr__(self):
         w = "; ".join(",".join(str(x) for x in r) for r in self.rows)

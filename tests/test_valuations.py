@@ -1,11 +1,14 @@
 """Weight valuations: values, centers, classes, and the rank split."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import scene
 
+from lu.blowup import local_blowup, transport_through_blowup
 from lu.errors import (
     InitialIdealNotPrime,
     LuError,
@@ -15,6 +18,7 @@ from lu.errors import (
 )
 from lu.fields import GF, QQ
 from lu.orders import WeightRefined
+from lu.parse import parse_poly
 from lu.poly import PolyRing
 from lu.scenes import load_scene
 from lu.valuations import (
@@ -26,6 +30,8 @@ from lu.valuations import (
     sample_polynomials,
     support_class,
 )
+
+GOLDEN_TRACES = Path(__file__).resolve().parents[1] / "bench" / "golden" / "traces"
 
 
 def _fat_cone_scene():
@@ -283,3 +289,78 @@ def test_value_of_on_a_variable_support_computes_no_order_key(monkeypatch):
         f, g = sample_polynomials(nu.ring, rng), sample_polynomials(nu.ring, rng)
         values.append(nu.value_of(f * g) == nu.value_of(f) + nu.value_of(g))
     assert all(values) and keyed == []
+
+
+def _value_by_whole_division(nu, f):
+    """value_of as first written: divide f whole, then take the least weight."""
+    nf = nu.support.normal_form(f, nu._order)
+    if nf.is_zero():
+        return Value(None)
+    return Value(min(nu.weight_of_exps(e) for e in nf.terms))
+
+
+def _fixture_and_chart_valuations():
+    """F1-F4 and the valuation on every chart of F1-F3's golden traces."""
+    found = []
+    for name in ("F1", "F2", "F3", "F4"):
+        L, nu = load_scene(name)
+        found.append((name, nu))
+        path = GOLDEN_TRACES / f"{name}.json"
+        if not path.exists():
+            continue
+        for i, s in enumerate(json.loads(path.read_text())["steps"]):
+            B = local_blowup(L, parse_poly(L.ring, s["b"]),
+                             [parse_poly(L.ring, a) for a in s["a_list"]], nu=nu)
+            nu = transport_through_blowup(nu, B)
+            L = B.chart
+            found.append((f"{name} chart {i + 1}", nu))
+    return found
+
+
+def _uncertified_valuation(support):
+    _, nu = scene(["x", "y"], [], ["x", "y"], [support], {"x": (1,), "y": (1,)}, 1)
+    return nu
+
+
+def test_value_of_sums_monomial_normal_forms_as_whole_division_does():
+    """Linearity of the normal form: the table's sums give the values that
+    dividing each element whole gives, certified support or not."""
+    valuations = _fixture_and_chart_valuations()
+    assert len(valuations) > 4
+    valuations += [(s, _uncertified_valuation(s)) for s in ("x*y", "y - x^2")]
+    for label, nu in valuations:
+        rng = random.Random(11)
+        for _ in range(40):
+            f, g = sample_polynomials(nu.ring, rng), sample_polynomials(nu.ring, rng)
+            for h in (f, g, f * g, f + g):
+                assert nu.value_of(h) == _value_by_whole_division(nu, h), (label, h)
+        assert nu.value_of(nu.ring.zero()).is_infinite
+
+
+def test_a_table_hit_still_refuses_another_rings_polynomial():
+    """The table is keyed by exponents alone, so a polynomial of another ring
+    with the same arity would hit it; value_of must refuse it first."""
+    _, nu = _cusp_scene()
+    x = nu.ring.var("x")
+    assert nu.value_of(x) == Value((2,))
+    for other in (PolyRing(QQ, ["u", "v"]), PolyRing(GF(7), ["x", "y"])):
+        same_exps = other.monomial(next(iter(x.terms)))
+        with pytest.raises(LuError, match="is not a polynomial of"):
+            nu.value_of(same_exps)
+
+
+@pytest.mark.parametrize(
+    "support, count, first",
+    [
+        ("x*y", 18, ("multiplicativity", "-3*x^2", "3*x^3*y - 2*y")),
+        ("y - x^2", 33, ("multiplicativity", "-x*y^2", "3*y - 3*x")),
+        ("y^2 - x^3", 20, ("multiplicativity", "-2*x^2", "x*y^3 + 2*x*y^2 - 3*x^2")),
+    ],
+)
+def test_axiom_sampling_finds_violations_on_uncertified_supports(support, count, first):
+    """A reducible or inhomogeneous support breaks the axioms, and the
+    sampler reports it: the counts and first triples seed 7 draws."""
+    bad = axiom_violations(_uncertified_valuation(support), count=300, seed=7)
+    assert len(bad) == count
+    axiom, f, g = bad[0]
+    assert (axiom, f.text(), g.text()) == first
