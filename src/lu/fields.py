@@ -19,6 +19,11 @@ from functools import cache
 from .errors import LuError, ResourceLimit
 
 
+def is_int(v):
+    """An int and not a bool: JSON's `true` and `false`, which Python counts as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_prime_u31(p):
     # deterministic Miller-Rabin; bases 2,3,5,7 decide primality below 3.2e9
     if p < 2:

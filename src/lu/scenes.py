@@ -14,7 +14,7 @@ import re
 from importlib import resources
 
 from .errors import CertificationError, LuError, ResourceLimit, SceneError, UnsupportedInstance
-from .fields import GF, QQ
+from .fields import GF, QQ, is_int
 from .ideals import Ideal
 from .localring import LocalRing, is_normally_flat, is_regular_local, nilpotent_length
 from .parse import parse_many, parse_poly
@@ -26,17 +26,12 @@ from .valuations import WeightValuation
 _FIXTURE = re.compile(r"^F[1-9][0-9]*$")
 
 
-def _is_int(v):
-    """JSON integers only: `true` and `false` are bools, which Python counts as ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _field(spec):
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         p = spec["Fp"]
-        if not _is_int(p):
+        if not is_int(p):
             raise SceneError("Fp wants an integer prime")
         return GF(p)
     raise SceneError(f"unknown field {spec!r}; use \"Q\" or {{\"Fp\": p}}")
@@ -82,7 +77,7 @@ def scene_from_dict(d):
         if key not in val:
             raise SceneError(f"valuation is missing {key!r}")
     rank = val["rank"]
-    if not _is_int(rank) or rank < 1:
+    if not is_int(rank) or rank < 1:
         raise SceneError("rank wants a positive integer")
     if rank > len(names):
         # a valuation's rank is at most the ring's dimension
@@ -98,7 +93,7 @@ def scene_from_dict(d):
         if (
             not isinstance(col, list)
             or len(col) != rank
-            or not all(_is_int(c) for c in col)
+            or not all(is_int(c) for c in col)
         ):
             raise SceneError(f"weight vector for {nm!r} wants {rank} integers")
         cols[nm] = tuple(col)

@@ -22,9 +22,16 @@ The table lives and dies with its valuation and holds one entry per
 distinct monomial passed in: for `axiom_violations`, whose samples have
 degree at most 4, that is at most C(n + 8, n) entries, the monomials of
 degree at most 8 that a product of two samples reaches.
+
+`axiom_violations` reads the same table without building a product.  Per
+sample it sums NF(f) and NF(g) once each, reads v(f + g) from the merge of
+those two sums, since NF(f + g) = NF(f) + NF(g), and v(f * g) from the
+table sum over the product's terms, multiplied out as exponent ->
+coefficient pairs: NF(f * g) = sum c_a c_b NF(x^(a + b)).
 """
 
 import random
+from functools import cache
 from operator import add, mul
 
 from .decomp import NOT_PRIME, is_prime, minimal_primes
@@ -36,6 +43,7 @@ from .errors import (
     NotMinimalPrime,
     UnsupportedInstance,
 )
+from .fields import is_int
 from .ideals import Ideal
 from .orders import weight_order
 from .poly import Polynomial
@@ -47,7 +55,11 @@ class Value:
     __slots__ = ("vec",)
 
     def __init__(self, vec):
-        self.vec = None if vec is None else tuple(int(x) for x in vec)
+        if vec is not None:
+            vec = tuple(vec)
+            if not all(map(is_int, vec)):
+                raise LuError(f"value coordinates must be integers, got {vec!r}")
+        self.vec = vec
 
     @classmethod
     def _of(cls, vec):
@@ -123,10 +135,10 @@ class Value:
 class WeightValuation:
     """Support prime plus a weight row per rank coordinate."""
 
-    __slots__ = ("ring", "support", "rows", "_order", "_monomial_nf")
+    __slots__ = ("ring", "support", "rows", "_order", "_monomial_nf", "_weight")
 
     def __init__(self, ring, support, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise LuError("a weight valuation needs at least one row")
         for r in rows:
@@ -134,14 +146,18 @@ class WeightValuation:
                 raise LuError(
                     f"weight row of length {len(r)} in a ring with {ring.n} variables"
                 )
+            if not all(map(is_int, r)):
+                raise LuError(f"weight row entries must be integers, got {r!r}")
         if support.ring != ring:
             raise LuError("support lives in a different ring")
         self.ring = ring
         self.support = support
         self.rows = rows
         self._order = weight_order(rows, ring.n)
-        # exps -> the normal form of x^exps as (exps, coeff, weight vector) items
+        # exps -> the normal form of x^exps as (exps, coeff) items
         self._monomial_nf = {}
+        # exps -> weight vector, for each monomial of a stored normal form
+        self._weight = {}
 
     @property
     def rank(self):
@@ -161,38 +177,52 @@ class WeightValuation:
         the normal form is summed term by term, NF(f) = sum c_e NF(x^e), from
         the valuation's table of monomial normal forms.  A monomial missing
         there is divided once, against that basis under the valuation's
-        order, and stored with each remainder monomial's weight vector; the
-        table grows by one entry per distinct monomial passed in, and no
-        further.  Coefficients that cancel in the sum are dropped, and an
-        empty sum is the infinite value.
+        order, and stored; the table grows by one entry per distinct
+        monomial passed in, and no further.  Coefficients that cancel in the
+        sum are skipped, and an empty sum is the infinite value.
         """
         ring = self.ring
         # a table hit skips Ideal.normal_form, so its guard is repeated here:
         # another ring's exponents would be read against this ring's weights
         if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
             raise LuError(f"{f!r} is not a polynomial of {ring!r}")
+        w = self._least_weight(self._normal_form_terms(f.terms))
+        return Value(None) if w is None else Value._of(w)
+
+    def _normal_form_terms(self, terms):
+        """NF(sum c_e x^e) as {exps: coeff}, from {e: c_e} with nonzero c_e.
+
+        A coefficient that cancels in the sum stays, as the field's zero.
+        """
         table = self._monomial_nf
-        F = ring.field
-        add, fmul = F.add, F.mul
-        acc, weight = {}, {}
-        for e, c in f.terms.items():
+        F = self.ring.field
+        add, fmul, one = F.add, F.mul, F.one
+        acc = {}
+        for e, c in terms.items():
             nf = table.get(e)
             if nf is None:
                 nf = table[e] = self._divide_monomial(e)
-            for e2, c2, w in nf:
-                if e2 in acc:
-                    acc[e2] = add(acc[e2], fmul(c, c2))
-                else:
-                    acc[e2] = fmul(c, c2)
-                    weight[e2] = w
-        zero = F.zero
-        left = [weight[e] for e, c in acc.items() if c != zero]
-        return Value._of(min(left)) if left else Value(None)
+            for e2, c2 in nf:
+                # most monomials are their own normal form, with coefficient one
+                c2 = c if c2 == one else fmul(c, c2)
+                acc[e2] = add(acc[e2], c2) if e2 in acc else c2
+        return acc
+
+    def _least_weight(self, nf):
+        """The least weight vector over nf's nonzero terms, or None if none is."""
+        zero = self.ring.field.zero
+        weight = self._weight
+        left = [weight[e] for e, c in nf.items() if c != zero]
+        return min(left) if left else None
 
     def _divide_monomial(self, e):
-        """NF(x^e) as (exps, coeff, weight vector) items."""
+        """NF(x^e) as (exps, coeff) items, each monomial's weight recorded."""
         nf = self.support.normal_form(self.ring.monomial(e), self._order)
-        return tuple((e2, c2, self.weight_of_exps(e2)) for e2, c2 in nf.terms.items())
+        weight = self._weight
+        for e2 in nf.terms:
+            if e2 not in weight:
+                weight[e2] = self.weight_of_exps(e2)
+        return tuple(nf.terms.items())
 
     def __repr__(self):
         w = "; ".join(",".join(str(x) for x in r) for r in self.rows)
@@ -300,6 +330,12 @@ def decompose(nu):
     return nu1, nu2
 
 
+@cache
+def _sample_coefficients(F):
+    """The sample coefficients -3..3 as elements of F, coerced once per field."""
+    return tuple(F.coerce(c) for c in range(-3, 4))
+
+
 def sample_polynomials(ring, rng):
     """One nonzero polynomial with small random support; deterministic per rng.
 
@@ -320,6 +356,7 @@ def sample_polynomials(ring, rng):
         raise LuError("cannot sample polynomials in a ring with no variables")
     F = ring.field
     zero = F.zero
+    coeffs = _sample_coefficients(F)
     bits = rng.getrandbits
     k_var = n.bit_length()
     while True:
@@ -341,11 +378,13 @@ def sample_polynomials(ring, rng):
             c = bits(3)  # randint(-3, 3) + 3: 7 values, 3 bits
             while c >= 7:
                 c = bits(3)
-            s = F.add(t.get(e, zero), F.coerce(c - 3))
-            if s == zero:
+            c = coeffs[c]
+            if e in t:
+                c = F.add(t[e], c)
+            if c == zero:
                 t.pop(e, None)
             else:
-                t[e] = s
+                t[e] = c
         if t:
             return Polynomial(ring, t)
 
@@ -357,20 +396,53 @@ def axiom_violations(nu, count=200, seed=0xC0FFEE):
     checked too.  Returns a list of (axiom, f, g) triples that failed;
     empty means the sample saw no violation.  A negative count is a
     LuError: a check that cannot run must not read as a pass.
+
+    Every value comes from nu's table of monomial normal forms, and no
+    product or sum polynomial and no Value is built.  Each sample sums
+    NF(f) and NF(g) once; v(f + g) is read from the merge of the two sums,
+    and v(f * g) from the table sum over the product's terms, multiplied
+    out as an exponent -> coefficient dict with cancelled terms dropped,
+    so the table gets the entries that value_of(f * g) would add.  Samples
+    have degree at most 4, so a product's exponents stay at most 8, far
+    below EXP_CAP, and are not checked against it.  Values compare as
+    weight tuples with None for infinity, under Value's rules: infinity is
+    largest, and min keeps the first of two equal values.  f and g stay
+    Polynomials only to be reported.
     """
     if count < 0:
         raise LuError(f"the sample count must be nonnegative, got {count}")
+    ring = nu.ring
+    F = ring.field
+    fadd, fmul, zero = F.add, F.mul, F.zero
+    nf, least = nu._normal_form_terms, nu._least_weight
     rng = random.Random(seed)
     bad = []
     for _ in range(count):
-        f = sample_polynomials(nu.ring, rng)
-        g = sample_polynomials(nu.ring, rng)
-        vf, vg = nu.value_of(f), nu.value_of(g)
-        if nu.value_of(f * g) != vf + vg:
+        f = sample_polynomials(ring, rng)
+        g = sample_polynomials(ring, rng)
+        nf_f, nf_g = nf(f.terms), nf(g.terms)
+        vf, vg = least(nf_f), least(nf_g)
+        fg = {}
+        for ea, ca in f.terms.items():
+            for eb, cb in g.terms.items():
+                e = tuple(map(add, ea, eb))
+                c = fmul(ca, cb)
+                if e in fg:
+                    c = fadd(fg[e], c)
+                    if c == zero:
+                        del fg[e]
+                        continue
+                fg[e] = c
+        v_sum = None if vf is None or vg is None else tuple(map(add, vf, vg))
+        if least(nf(fg)) != v_sum:
             bad.append(("multiplicativity", f, g))
-        vs = nu.value_of(f + g)
-        if vs < min(vf, vg):
+        merged = dict(nf_f)
+        for e, c in nf_g.items():
+            merged[e] = fadd(merged[e], c) if e in merged else c
+        vs = least(merged)
+        low = vg if vg is not None and (vf is None or vg < vf) else vf
+        if vs is not None and (low is None or vs < low):
             bad.append(("ultrametric", f, g))
-        elif vf != vg and vs != min(vf, vg):
+        elif vf != vg and vs != low:
             bad.append(("ultrametric-strict", f, g))
     return bad

@@ -2,6 +2,8 @@
 
 import json
 import random
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,13 +18,16 @@ from lu.errors import (
     NotMinimalPrime,
     UnsupportedInstance,
 )
+from lu import valuations
 from lu.fields import GF, QQ
+from lu.ideals import Ideal
 from lu.orders import WeightRefined
 from lu.parse import parse_poly
-from lu.poly import PolyRing
+from lu.poly import Polynomial, PolyRing
 from lu.scenes import load_scene
 from lu.valuations import (
     Value,
+    WeightValuation,
     axiom_violations,
     center_ideal,
     certify,
@@ -91,6 +96,16 @@ def test_value_predicates_and_truncation():
     assert Value(None).is_positive
     assert Value((1, 2, 3)).truncate(2) == Value((1, 2))
     assert Value(None).truncate(1) == Value(None)
+
+
+@pytest.mark.parametrize("coordinate", [1.5, Fraction(3, 2), Fraction(2, 1), True, "1"])
+def test_values_and_weight_rows_refuse_a_non_integer_coordinate(coordinate):
+    """Refused, not truncated or converted: the rule of the scene loader."""
+    with pytest.raises(LuError, match="must be integers"):
+        Value((coordinate, 2))
+    R = PolyRing(QQ, ["x", "y", "z"])
+    with pytest.raises(LuError, match="must be integers"):
+        WeightValuation(R, Ideal(R, []), [[coordinate, 1, 1]])
 
 
 def test_value_dimension_guards():
@@ -317,8 +332,10 @@ def _fixture_and_chart_valuations():
     return found
 
 
-def _uncertified_valuation(support):
-    _, nu = scene(["x", "y"], [], ["x", "y"], [support], {"x": (1,), "y": (1,)}, 1)
+def _uncertified_valuation(support, field=QQ):
+    _, nu = scene(
+        ["x", "y"], [], ["x", "y"], [support], {"x": (1,), "y": (1,)}, 1, field=field
+    )
     return nu
 
 
@@ -364,3 +381,78 @@ def test_axiom_sampling_finds_violations_on_uncertified_supports(support, count,
     assert len(bad) == count
     axiom, f, g = bad[0]
     assert (axiom, f.text(), g.text()) == first
+
+
+def _axiom_violations_by_arithmetic(nu, count, seed):
+    """axiom_violations as it was before it read the monomial table: f * g
+    and f + g as Polynomials, each read through value_of, compared as Values."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(count):
+        f = sample_polynomials(nu.ring, rng)
+        g = sample_polynomials(nu.ring, rng)
+        vf, vg = nu.value_of(f), nu.value_of(g)
+        if nu.value_of(f * g) != vf + vg:
+            bad.append(("multiplicativity", f, g))
+        vs = nu.value_of(f + g)
+        if vs < min(vf, vg):
+            bad.append(("ultrametric", f, g))
+        elif vf != vg and vs != min(vf, vg):
+            bad.append(("ultrametric-strict", f, g))
+    return bad
+
+
+def _reported(bad):
+    return [(axiom, f.text(), g.text()) for axiom, f, g in bad]
+
+
+def test_axiom_sampling_on_the_table_reports_what_polynomial_arithmetic_does():
+    """Same draws, same verdicts, same triples: on F1-F4 and their charts
+    (F2's variable support reads many infinite values), on the uncertified
+    supports over Q, and on one over GF(7)."""
+    uncertified = [(s, _uncertified_valuation(s)) for s in ("x*y", "y - x^2", "y^2 - x^3")]
+    uncertified.append(("x*y - 1 over GF(7)", _uncertified_valuation("x*y - 1", GF(7))))
+    for label, nu in _fixture_and_chart_valuations() + uncertified:
+        # a twin with its own table, so neither loop reads the other's entries
+        twin = WeightValuation(nu.ring, nu.support, nu.rows)
+        for seed in (7, 0xC0FFEE):
+            want = _reported(_axiom_violations_by_arithmetic(twin, 300, seed))
+            assert _reported(axiom_violations(nu, count=300, seed=seed)) == want, (label, seed)
+            assert nu._monomial_nf.keys() == twin._monomial_nf.keys(), (label, seed)
+            # the certified valuations see no violation, the others do
+            assert bool(want) == ((label, nu) in uncertified), (label, seed)
+
+
+@pytest.mark.parametrize("builder", [lambda: load_scene("F3"), _cusp_scene], ids=["F3", "cusp"])
+def test_axiom_sampling_builds_no_product_and_divides_each_monomial_once(builder, monkeypatch):
+    """No Polynomial product or sum inside the loop, one Ideal.normal_form
+    per new table entry, and at most C(n + 8, n) entries."""
+    _, nu = builder()
+    nu.value_of(nu.ring.one())  # builds the support basis before counting
+    counts = {"mul": 0, "add": 0, "normal_form": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting("mul", Polynomial.__mul__))
+    monkeypatch.setattr(Polynomial, "__add__", counting("add", Polynomial.__add__))
+    monkeypatch.setattr(Ideal, "normal_form", counting("normal_form", Ideal.normal_form))
+    before = len(nu._monomial_nf)
+    assert axiom_violations(nu, count=200) == []
+    assert counts["mul"] == counts["add"] == 0
+    assert counts["normal_form"] == len(nu._monomial_nf) - before > 0
+    assert len(nu._monomial_nf) <= comb(nu.ring.n + 8, nu.ring.n)
+
+
+def test_a_product_term_that_cancels_is_never_divided(monkeypatch):
+    """(x + y)(x - y) = x^2 - y^2: the x*y terms cancel, so x*y gets no
+    table entry, just as value_of(f * g) never reads it."""
+    _, nu = _cusp_scene()
+    x, y = nu.ring.var("x"), nu.ring.var("y")
+    drawn = iter([x + y, x - y])
+    monkeypatch.setattr(valuations, "sample_polynomials", lambda ring, rng: next(drawn))
+    assert axiom_violations(nu, count=1) == []
+    assert set(nu._monomial_nf) == {(1, 0), (0, 1), (2, 0), (0, 2)}
