@@ -5,6 +5,14 @@ module arithmetic happens with ambient polynomial data: the nilpotent
 filtration is the radical filtration N^n + I, its graded pieces are finitely
 presented over R/N, and local statements at a prime are decided by one
 elimination at the prime (`lu.modules`) together with colon escapes.
+
+The cotangent space center/(center^2 + I), which decides regularity and
+the parameters at a split center, needs no module Groebner basis when the
+center is generated by variables, as every center F1-F4 reach is: its
+relations at the center are the linear parts of I's generators in those
+variables (the conormal sequence).  A center that is not variables, such
+as the point over x = sqrt(2), or an I not inside the center keeps the
+relation module of the center's basis (`cotangent_presentation`).
 """
 
 from dataclasses import dataclass
@@ -14,6 +22,7 @@ from .decomp import local_dimension, radical, require_prime
 from .errors import CertificationError, UnsupportedInstance
 from .ideals import Ideal
 from .modules import eliminate_at_prime, rank_mod_prime, reduce_entries, relation_module
+from .poly import Polynomial
 
 MAX_NILPOTENT_LENGTH = 8
 
@@ -64,11 +73,52 @@ class LocalRing:
 
 
 def cotangent_presentation(L):
-    """Generators and relation rows of center/(center^2 + defining)."""
+    """Generators of center/(center^2 + defining) and rows whose classes
+    modulo the center span its relations there.
+
+    The generators are the center's canonical basis.  When that basis is
+    variables x_i and every term of every defining generator f has positive
+    degree in them (I inside the center, checked), the rows are the linear
+    parts: one row per f, whose entry i is the coefficient of x_i in the
+    part of f of degree one in the x_i.  This is the conormal sequence at a
+    variable center (Eisenbud, Commutative Algebra, ch. 16): f = sum x_i g_i
+    with g_i congruent to that coefficient modulo the center, the other
+    relations x_j e_i vanish there, and no derivative is taken, so it holds
+    over every field.  Any other center keeps the relation module of the
+    basis modulo center^2 + defining.  Callers read the rows only through
+    `eliminate_at_prime` at the center, where both give one row space.
+    """
     gens = L.center_basis()
-    modulus = L.center.power(2) + L.defining
-    rels = relation_module(gens, modulus)
-    return gens, [list(r) for r in rels]
+    rows = _linear_part_rows(L, gens)
+    if rows is None:
+        modulus = L.center.power(2) + L.defining
+        rows = [list(r) for r in relation_module(gens, modulus)]
+    return gens, rows
+
+
+def _linear_part_rows(L, gens):
+    """The linear-part rows, or None when a center generator is not a
+    variable or a defining term has degree zero in the center variables."""
+    ring = L.ring
+    cols = []
+    for g in gens:
+        e, c = next(iter(g.terms.items()))
+        if len(g.terms) != 1 or c != ring.field.one or sum(e) != 1:
+            return None
+        cols.append(e.index(1))
+    rows = []
+    for f in L.defining.gens:
+        row = [{} for _ in cols]
+        for e, c in f.terms.items():
+            degree = sum(e[i] for i in cols)
+            if degree == 0:
+                return None
+            if degree == 1:
+                j = next(j for j, i in enumerate(cols) if e[i])
+                i = cols[j]
+                row[j][e[:i] + (0,) + e[i + 1 :]] = c
+        rows.append([Polynomial(ring, t) for t in row])
+    return rows
 
 
 @dataclass(frozen=True)

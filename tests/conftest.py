@@ -1,10 +1,18 @@
+import json
+from functools import cache
+from importlib import resources
+from unittest import mock
+
 import pytest
 
+from lu import localring, pipeline
 from lu.fields import QQ
 from lu.ideals import Ideal
 from lu.localring import LocalRing
 from lu.parse import parse_many, parse_poly
+from lu.pipeline import run_reduction
 from lu.poly import PolyRing
+from lu.scenes import load_scene
 from lu.valuations import WeightValuation
 
 
@@ -48,6 +56,70 @@ SQRT2_SCENE = {
     "localize_at": ["y"],
     "valuation": {"support": [], "weights": {"y": [1]}, "rank": 1},
 }
+
+
+# The cusp y^2 = x^3 times the z line at rank two: its run lifts a blowup
+# from the localization at the split center (a regularize step).
+CUSP_LINE_SCENE = {
+    "field": "Q",
+    "vars": ["x", "y", "z"],
+    "ideal": ["y^2 - x^3"],
+    "localize_at": ["x", "y", "z"],
+    "valuation": {
+        "support": ["y^2 - x^3"],
+        "weights": {"x": [2, 0], "y": [3, 0], "z": [0, 1]},
+        "rank": 2,
+    },
+}
+
+
+def whitney_scene(k):
+    """Whitney u*y = x^k at rank two, reduced by one trim."""
+    return {
+        "field": "Q",
+        "vars": ["u", "x", "y"],
+        "ideal": [f"u*y - x^{k}"],
+        "localize_at": ["u", "x", "y"],
+        "valuation": {
+            "support": [],
+            "weights": {"u": [0, 1], "x": [1, 1], "y": [k, k - 1]},
+            "rank": 2,
+        },
+    }
+
+
+# Scenes whose reductions ask for cotangent presentations at variable centers
+# (charts and split centers of every step label) and at a center that is not
+# variables (sqrt(2)); F2 over F_11 carries them into positive characteristic.
+COTANGENT_SCENES = {
+    **{name: name for name in ("F1", "F2", "F3", "F4")},
+    "node": NODE_SCENE,
+    "sqrt2": SQRT2_SCENE,
+    "cusp-line": CUSP_LINE_SCENE,
+    **{f"whitney-{k}": whitney_scene(k) for k in (2, 3, 4)},
+    "F2-F11": dict(
+        json.loads(resources.files("lu").joinpath("fixtures/F2.json").read_text()),
+        field={"Fp": 11},
+    ),
+}
+
+
+@cache
+def cotangent_rings(name):
+    """Every local ring whose cotangent presentation the reduction of a
+    COTANGENT_SCENES scene asks for, in first-asked order."""
+    seen = []
+    real = localring.cotangent_presentation
+
+    def recording(L):
+        if L not in seen:
+            seen.append(L)
+        return real(L)
+
+    with mock.patch.object(localring, "cotangent_presentation", recording), \
+            mock.patch.object(pipeline, "cotangent_presentation", recording):
+        run_reduction(*load_scene(COTANGENT_SCENES[name]))
+    return tuple(seen)
 
 
 @pytest.fixture

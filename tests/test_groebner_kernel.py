@@ -285,10 +285,10 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
-        "F1": (29, 67, 16),
-        "F2": (69, 786, 306),
-        "F3": (45, 215, 158),
-        "F4": (8, 9, 3),
+        "F1": (26, 42, 7),
+        "F2": (59, 559, 190),
+        "F3": (34, 71, 62),
+        "F4": (6, 0, 0),
     }
     for name, counts in expected.items():
         for memo in (ideals._cached_basis, decomp.is_prime, decomp.radical):

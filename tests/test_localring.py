@@ -1,16 +1,18 @@
 """Local ring invariants: regularity, nilpotents, and the normal cone."""
 
 import itertools
+from types import SimpleNamespace
 
-from conftest import ideal as ideal_of, ring
+from conftest import COTANGENT_SCENES, cotangent_rings, ideal as ideal_of, ring
 
-from lu import ideals
+from lu import ideals, localring
 from lu.blowup import local_blowup
 from lu.ideals import Ideal
-from lu.modules import module_groebner
+from lu.modules import module_groebner, rank_mod_prime, relation_module
 from lu.localring import (
     LocalRing,
     cotangent_presentation,
+    embedding_dimension,
     graded_piece,
     is_free_at,
     is_normally_flat,
@@ -19,6 +21,7 @@ from lu.localring import (
     nilradical_min_gens,
 )
 from lu.errors import LuError
+from lu.pipeline import _select_basis
 from lu.scenes import load_scene
 
 
@@ -89,6 +92,69 @@ def test_cotangent_presentation_gens(uvxy):
     # one of the rows must witness that y dies against x in the surface direction
     texts = {tuple(c.text() for c in row) for row in rows}
     assert ("0", "1", "0") in texts
+
+
+def _module_rows(L, gens):
+    """The relation rows of the center's basis modulo center^2 + defining."""
+    return [list(r) for r in relation_module(gens, L.center.power(2) + L.defining)]
+
+
+def _selections(L, gens, rows):
+    """`_select_basis` at the center with the generators tried in input
+    order and in reverse."""
+    picks = []
+    for sign in (1, -1):
+        nu = SimpleNamespace(value_of=lambda g, sign=sign: sign * gens.index(g))
+        picks.append(_select_basis(L.ring, gens, rows, L.center, nu))
+    return picks
+
+
+def _record_relation_modules(monkeypatch):
+    """A list that records every relation module cotangent_presentation asks for."""
+    asked = []
+    real = localring.relation_module
+
+    def recording(gens, modulus):
+        asked.append(gens)
+        return real(gens, modulus)
+
+    monkeypatch.setattr(localring, "relation_module", recording)
+    return asked
+
+
+def test_cotangent_rows_span_the_relation_module_at_the_center(monkeypatch):
+    """On every ring whose cotangent presentation the reductions of
+    COTANGENT_SCENES ask for, the rows span the relations at the center:
+    one rank for the rows A, the relation module's rows B and A with B, and
+    one basis selection.  Variable centers take the linear parts, the
+    sqrt(2) center the relation module."""
+    rings = {name: cotangent_rings(name) for name in COTANGENT_SCENES}
+    asked = _record_relation_modules(monkeypatch)
+    routes = set()
+    for name, locals_ in rings.items():
+        for L in locals_:
+            before = len(asked)
+            gens, rows = cotangent_presentation(L)
+            routes.add((name, "module" if len(asked) > before else "linear"))
+            reference = _module_rows(L, gens)
+            ranks = {rank_mod_prime(r, L.center) for r in (rows, reference, rows + reference)}
+            assert len(ranks) == 1, (name, L, ranks)
+            assert _selections(L, gens, rows) == _selections(L, gens, reference), (name, L)
+    module = {name for name, route in routes if route == "module"}
+    linear = {name for name, route in routes if route == "linear"}
+    assert module == {"sqrt2"} and linear == set(COTANGENT_SCENES) - module, routes
+
+
+def test_a_defining_term_outside_a_variable_center_takes_the_module_route(xy, monkeypatch):
+    """With x - 1 outside the center (x, y), center^2 + defining is the unit
+    ideal, so every relation holds and the embedding dimension is 0; the
+    linear part of x - 1 would read a rank of 1."""
+    L = LocalRing(xy, ideal_of(xy, "x - 1"), ideal_of(xy, "x", "y"), check=False)
+    asked = _record_relation_modules(monkeypatch)
+    gens, rows = cotangent_presentation(L)
+    assert len(asked) == 1
+    assert rank_mod_prime(rows, L.center) == rank_mod_prime(_module_rows(L, gens), L.center) == 2
+    assert embedding_dimension(L) == 0
 
 
 def test_graded_piece_of_fat_cone(uvxy):

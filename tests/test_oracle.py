@@ -1,6 +1,6 @@
-"""The Groebner engine, the ideal operations, minimal polynomials and
-minimal primes against an independent oracle, sympy's `groebner` and
-`factor_list`.
+"""The Groebner engine, the ideal operations, minimal polynomials, minimal
+primes and embedding dimensions against an independent oracle, sympy's
+`groebner`, `factor_list` and `jacobian`.
 
 sympy is a test dependency only; the runtime keeps no CAS.  Inputs are small
 seeded random ideals and modules over Q and F_p.  The ideal operations are
@@ -18,13 +18,16 @@ and ideals are compared by their reduced grevlex bases in sympy.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from conftest import COTANGENT_SCENES, cotangent_rings
 
 from lu.decomp import minimal_polynomial, minimal_primes
 from lu.errors import LuError
 from lu.fields import GF, QQ
 from lu.ideals import Ideal, buchberger
+from lu.localring import embedding_dimension
 from lu.modules import module_groebner
 from lu.orders import DegRevLex, Lex
 from lu.parse import parse_many, parse_poly
@@ -285,3 +288,43 @@ def test_minimal_primes_are_the_irreducible_factors_or_a_refusal(text):
     except LuError:
         return
     assert got == want
+
+
+# Embedding dimension by the Jacobian criterion (Eisenbud, *Commutative
+# Algebra*, Thm 16.19): in characteristic zero, for I inside a prime p of
+# k[x], the local ring (k[x]/I)_p has embedding dimension ht p minus the
+# rank of the Jacobian of I's generators modulo p, over the fraction field
+# of k[x]/p.  For p generated by variables x_i (i in C) that is |C| minus
+# the rank of the columns d/dx_i (i in C) at x_C = 0, over the fraction
+# field of the other variables.  sympy's reduced bases stand for I and p.
+# The rank is the largest size of a minor outside p, and ht p is n minus
+# dim k[x]/p: the size of the largest set of variables on which no leading
+# monomial of p's basis lives (Cox, Little & O'Shea, ch. 9 §3).
+
+def _jacobian_embedding_dimension(L):
+    syms = sp.symbols(L.ring.names)
+    p = _oracle([_to_expr(g, syms) for g in L.center.gens], syms, "grevlex", QQ)
+    leads = [q.monoms(order="grevlex")[0] for q in p.polys]
+    dim = max(
+        k for k in range(len(syms) + 1) for S in combinations(range(len(syms)), k)
+        if not any(all(e[i] == 0 or i in S for i in range(len(syms))) for e in leads)
+    )
+    I = _reduced([_to_expr(f, syms) for f in L.defining.gens], syms, QQ)
+    J = sp.Matrix([[p.reduce(sp.diff(f, x))[1] for x in syms] for f in I])
+    rank = 0
+    for r in range(1, min(J.rows, len(syms)) + 1):
+        if not any(not p.contains(J.extract(list(rs), list(cs)).det())
+                   for rs in combinations(range(J.rows), r)
+                   for cs in combinations(range(J.cols), r)):
+            break
+        rank = r
+    return len(syms) - dim - rank
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, scene in COTANGENT_SCENES.items()
+             if isinstance(scene, str) or scene["field"] == "Q"]
+)
+def test_embedding_dimension_is_the_jacobian_corank(name):
+    for L in cotangent_rings(name):
+        assert embedding_dimension(L) == _jacobian_embedding_dimension(L), L
