@@ -40,7 +40,7 @@ from .localring import (
     is_regular_local,
     nilpotent_length,
 )
-from .modules import eliminate_at_prime, relation_module
+from .modules import eliminate_at_prime
 from .blowup import (
     lift_from_localization,
     lift_from_quotient,
@@ -198,24 +198,31 @@ def _split_center(nu):
     return decompose(nu)[1].support
 
 
-def _regular_at(L, p1, check):
-    """The reduced ring localized at p1 and its regularity, which must hold."""
+def _parameters_at(L, nu, p1, check):
+    """The split center's cotangent generators and the indices of the
+    parameters `_select_basis` picks among them, refused under `check`
+    unless the reduced ring is regular at p1.
+
+    By Nakayama the picked unit rows complete the relation rows to a basis
+    over the residue field, so their count is the embedding dimension and
+    no relation among the parameters has an entry outside p1.
+    """
     red_at_p = LocalRing(L.ring, L.nilradical(), p1, check=False)
-    reg = is_regular_local(red_at_p)
-    if not reg.regular:
+    gens, rows = cotangent_presentation(red_at_p)
+    idx = _select_basis(L.ring, gens, rows, p1, nu)
+    if len(idx) != red_at_p.dimension():
         raise CertificationError(
             check, "reduced ring is not regular at the split center"
         )
-    return red_at_p, reg
+    return gens, idx
 
 
-def _basis_and_extras(L, nu, p1, gens, rows, modulus, check, what):
-    """A basis of the gens at p1 and the other gens that a blowup absorbs.
+def _basis_and_extras(L, p1, gens, idx, modulus, check, what):
+    """The basis gens[idx] at p1 and the other gens that a blowup absorbs.
 
     Each extra comes as (g, b) with b the denominator that absorbs g; a
     generator with no relation with a unit is refused under `check`.
     """
-    idx = _select_basis(L.ring, gens, rows, p1, nu)
     basis = [gens[i] for i in idx]
     extras = []
     for j, g in enumerate(gens):
@@ -232,45 +239,21 @@ def _basis_and_extras(L, nu, p1, gens, rows, modulus, check, what):
 
 
 def _trim_probe(L, nu, p1):
-    """Parameters at the split center, the extras still obstructing them,
-    and the regularity at p1 that the probe passed."""
-    at_p1 = _regular_at(L, p1, "hypothesis")
-    gens, rows = cotangent_presentation(at_p1[0])
-    params, extras = _basis_and_extras(
-        L, nu, p1, gens, rows, L.defining, "trim", "generator"
-    )
-    return params, extras, at_p1
+    """Parameters at the split center and the extras still obstructing them."""
+    gens, idx = _parameters_at(L, nu, p1, "hypothesis")
+    return _basis_and_extras(L, p1, gens, idx, L.defining, "trim", "generator")
 
 
-def _verify_split_criterion(L, nu, p1, at_p1=None):
+def _verify_split_criterion(L, p1, r):
     """r parameters at the split center plus the quotient's dimension must
-    reach the reduced ring's dimension; after a trim (`at_p1` is its last
-    probe's regularity at p1) the parameter relations must vanish there."""
-    red_at_p, reg = at_p1 or _regular_at(L, p1, "regularity criterion")
-    r = reg.embedding_dimension
-    quotient = LocalRing(L.ring, p1, L.center, check=False)
-    t = quotient.dimension()
-    nil = red_at_p.defining
-    total = LocalRing(L.ring, nil, L.center, check=False).dimension()
+    reach the reduced ring's dimension."""
+    t = LocalRing(L.ring, p1, L.center, check=False).dimension()
+    total = L.reduced().dimension()
     if r + t != total:
         raise CertificationError(
             "regularity criterion",
             f"r + t = {r} + {t} does not reach the dimension {total}",
         )
-    if at_p1:
-        gens, rows = cotangent_presentation(
-            LocalRing(L.ring, L.defining, p1, check=False)
-        )
-        idx = _select_basis(L.ring, gens, rows, p1, nu)
-        params = [gens[i] for i in idx]
-        for row in relation_module(params, p1.power(2) + L.defining):
-            for entry in row:
-                if not p1.contains(entry):
-                    raise CertificationError(
-                        "freeness",
-                        f"parameter relation entry {entry.text()} survives "
-                        "at the split center",
-                    )
 
 
 def step2(run):
@@ -278,24 +261,24 @@ def step2(run):
 
     Nothing to do when it already is; otherwise blow up along the split
     center's parameters against a unit-coefficient relation, absorbing one
-    extra generator per step, then re-verify the dimension criterion and the
-    freeness of the parameter presentation.
+    extra generator per step, then re-verify the dimension criterion.
     """
     p1 = _split_center(run.nu)
     if is_regular_local(run.L.reduced()).regular:
-        _verify_split_criterion(run.L, run.nu, p1)
+        _, idx = _parameters_at(run.L, run.nu, p1, "regularity criterion")
+        _verify_split_criterion(run.L, p1, len(idx))
         return
-    params, extras, at_p1 = _trim_probe(run.L, run.nu, p1)
+    params, extras = _trim_probe(run.L, run.nu, p1)
     while extras:
         g, b = extras[0]
         B = local_blowup(run.L, b, params, nu=run.nu)
         run.apply(B, "trim", {"absorbed": g.text(), "extras_left": len(extras) - 1})
         p1 = _split_center(run.nu)
-        params, left, at_p1 = _trim_probe(run.L, run.nu, p1)
+        params, left = _trim_probe(run.L, run.nu, p1)
         if len(left) >= len(extras):
             raise CertificationError("trim", "blowup did not absorb a generator")
         extras = left
-    _verify_split_criterion(run.L, run.nu, p1, at_p1)
+    _verify_split_criterion(run.L, p1, len(params))
     if not is_regular_local(run.L.reduced()).regular:
         raise CertificationError(
             "regularity criterion", "reduced ring is still not regular"
@@ -305,9 +288,10 @@ def step2(run):
 def _piece_probe(L, nu, p1, n):
     """Local basis of the n-th graded piece at the split center and extras."""
     gens, rows = graded_piece(L, n)
+    idx = _select_basis(L.ring, gens, rows, p1, nu)
     modulus = L.nilradical().power(n + 1) + L.defining
     return _basis_and_extras(
-        L, nu, p1, gens, rows, modulus, "normal flatness", "piece generator"
+        L, p1, gens, idx, modulus, "normal flatness", "piece generator"
     )
 
 

@@ -287,7 +287,7 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
     expected = {
         "F1": (26, 42, 7),
         "F2": (59, 559, 190),
-        "F3": (34, 71, 62),
+        "F3": (31, 45, 55),
         "F4": (6, 0, 0),
     }
     for name, counts in expected.items():

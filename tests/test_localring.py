@@ -145,6 +145,21 @@ def test_cotangent_rows_span_the_relation_module_at_the_center(monkeypatch):
     assert module == {"sqrt2"} and linear == set(COTANGENT_SCENES) - module, routes
 
 
+def test_no_relation_among_the_picked_parameters_leaves_the_center():
+    """On every ring whose cotangent presentation the reductions of
+    COTANGENT_SCENES ask for, the generators `_select_basis` picks, in
+    either order, have every relation modulo center^2 + defining inside the
+    center: by Nakayama they complete the relation rows to a basis over the
+    residue field, which is why step two needs no relation module."""
+    for name in COTANGENT_SCENES:
+        for L in cotangent_rings(name):
+            gens, rows = cotangent_presentation(L)
+            for idx in _selections(L, gens, rows):
+                picked = [gens[i] for i in idx]
+                for row in relation_module(picked, L.center.power(2) + L.defining):
+                    assert all(L.center.contains(c) for c in row), (name, L, idx)
+
+
 def test_a_defining_term_outside_a_variable_center_takes_the_module_route(xy, monkeypatch):
     """With x - 1 outside the center (x, y), center^2 + defining is the unit
     ideal, so every relation holds and the embedding dimension is 0; the

@@ -3,12 +3,12 @@
 import hashlib
 
 import pytest
-from conftest import NODE_SCENE, scene
+from conftest import CUSP_LINE_SCENE, NODE_SCENE, scene
 
 import lu.scenes
-from lu import ideals, pipeline
+from lu import ideals, localring, modules, pipeline
 from lu.blowup import transport_through_blowup, verify_center_isos
-from lu.errors import LuError, ResourceLimit, UnsupportedInstance
+from lu.errors import CertificationError, LuError, ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits
 from lu.pipeline import (
     Run,
@@ -195,13 +195,58 @@ def test_a_refused_trace_carries_the_valuation_of_its_final_chart():
     assert (trace.final_nu.support, trace.final_nu.rows) == (moved.support, moved.rows)
 
 
-def test_a_run_and_its_trace_check_regularity_at_most_seven_times_on_f3(monkeypatch):
+def test_a_run_and_its_trace_check_regularity_at_most_five_times_on_f3(monkeypatch):
     calls = _count_calls(monkeypatch, pipeline, "is_regular_local")
     monkeypatch.setattr(lu.scenes, "is_regular_local", pipeline.is_regular_local)
     trace = run_reduction(*load_scene("F3"))
     assert trace.verdict == "Uniformized"
     trace_to_json(trace)
-    assert len(calls) <= 7
+    assert len(calls) <= 5
+
+
+def test_each_trim_probe_reads_the_split_center_once(monkeypatch):
+    """One cotangent presentation and one elimination, both at p1, per
+    trim probe, wherever in lu they are called from."""
+    asked = []
+    at_ring = lambda L: L.center
+    at_prime = lambda rows, prime, modulus=None: prime
+    for module, name, where in [(localring, "cotangent_presentation", at_ring),
+                                (pipeline, "cotangent_presentation", at_ring),
+                                (modules, "eliminate_at_prime", at_prime),
+                                (localring, "eliminate_at_prime", at_prime),
+                                (pipeline, "eliminate_at_prime", at_prime)]:
+        def recording(*args, real=getattr(module, name), name=name, where=where):
+            asked.append((name, where(*args)))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    probes = []
+    probe = pipeline._trim_probe
+
+    def recorded(L, nu, p1):
+        before = len(asked)
+        out = probe(L, nu, p1)
+        probes.append((p1, asked[before:]))
+        return out
+
+    monkeypatch.setattr(pipeline, "_trim_probe", recorded)
+    run = _step(step1, *_whitney())
+    step2(run)
+    assert [s.label for s in run.steps] == ["trim"]
+    assert len(probes) == 2
+    for p1, calls in probes:
+        assert calls == [("cotangent_presentation", p1), ("eliminate_at_prime", p1)]
+
+
+def test_step2_refuses_a_reduced_ring_not_regular_at_the_split_center():
+    """The cusp times a line, before its regularize step: the cusp is
+    singular at the split center (x, y), so the trim probe refuses."""
+    run = Run(*load_scene(CUSP_LINE_SCENE), pipeline.BLOWUP_POOL)
+    with pytest.raises(CertificationError) as refused:
+        step2(run)
+    assert refused.value.check == "hypothesis"
+    assert refused.value.detail == "reduced ring is not regular at the split center"
+    assert run.steps == []
 
 
 def test_run_reduction_on_the_fixtures():
