@@ -6,8 +6,20 @@ ideals with saturated exponent lattice, principal univariate irreducibles,
 zero dimensional rings certified to be fields), "not-prime" always comes with
 a zero divisor witness that is re-verified by normal forms, and everything
 else is "unknown" so that callers can refuse the instance instead of lying.
-The zero dimensional class reads minimal polynomials, each the generator of
-(I + (T - f)) ∩ k[T] by elimination in the one Groebner engine.
+
+`is_prime` answers the unit ideal (not prime) and the zero, variable and
+graph classes (prime) first, then walks one cascade, `_CLASSES`: monomial
+witness, binomial lattice, principal univariate, zero dimensional.  Each
+class is a function `(I, gb) -> Primality | None`, None meaning it does not
+apply; the first prime or not-prime verdict wins, else the first unknown.
+Every not-prime verdict is built by `_witnessed`, and both factoring classes
+read one factor search, `_factor_witness`.  The zero dimensional class reads
+minimal polynomials, each the generator of (I + (T - f)) ∩ k[T] by
+elimination in the one Groebner engine.
+
+`radical` certifies its result by the same kind of classes; a zero
+dimensional ideal whose variables have squarefree minimal polynomials is
+radical in characteristic zero (Seidenberg's lemma).
 
 Associated and minimal primes come from one split, `_split_primes`: a
 splitter f gives the checked identity I = (I : f^∞) ∩ (I + (f^n)), and a
@@ -102,28 +114,25 @@ def _graph_class(I):
     return True
 
 
-def _verify_witness(I, g, h):
-    return (
-        not I.contains(g)
-        and not I.contains(h)
-        and I.contains(g * h)
-    )
+def _witnessed(I, g, h):
+    """The not-prime verdict with witness (g, h) when g*h lies in I and
+    neither g nor h does, else None."""
+    if not I.contains(g) and not I.contains(h) and I.contains(g * h):
+        return Primality(NOT_PRIME, (g, h))
+    return None
 
 
 def _monomial_witness(I, gb):
+    """x and g / x for the first monomial g of a monomial basis that is not
+    a variable, with x its first variable; None for any other basis."""
+    if not _is_monomial_gb(gb):
+        return None
     for g in gb:
-        e = next(iter(g.terms))
-        if _is_variable_exps(e):
-            continue
-        i = next(i for i, x in enumerate(e) if x)
-        a = [0] * len(e)
-        a[i] = 1
-        b = list(e)
-        b[i] -= 1
-        ga, gb_ = I.ring.monomial(a), I.ring.monomial(b)
-        if _verify_witness(I, ga, gb_):
-            return Primality(NOT_PRIME, (ga, gb_))
-    return None
+        (e,) = g.terms
+        if not _is_variable_exps(e):
+            i = next(i for i, x in enumerate(e) if x)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+            return _witnessed(I, I.ring.var(I.ring.names[i]), I.ring.monomial(rest))
 
 
 def _zero_divisor_variable(B, names):
@@ -156,8 +165,6 @@ def _binomial_class(I, gb):
         binoms.append(pd)
     # a reduced basis keeps killed variables out of the binomials
     sub = ring.drop(varnames)
-    if sub.n == 0:
-        return None
     rows = []
     sub_binoms = []
     for a, b in binoms:
@@ -172,10 +179,9 @@ def _binomial_class(I, gb):
         nm, c = hit
         for g in c.groebner():
             if not B.contains(g):
-                w1 = ring.var(nm)
-                w2 = g.to_ring(ring)
-                if _verify_witness(I, w1, w2):
-                    return Primality(NOT_PRIME, (w1, w2))
+                got = _witnessed(I, ring.var(nm), g.to_ring(ring))
+                if got:
+                    return got
         return Primality(UNKNOWN, reason="variable zero divisor without witness")
     defect = saturation_defect(rows, sub.n)
     if defect is None:
@@ -188,10 +194,9 @@ def _binomial_class(I, gb):
     for j in range(k):
         e = tuple(j * p + (k - 1 - j) * m for p, m in zip(up, um))
         h = h + sub.monomial(e)
-    w1, w2 = g.to_ring(ring), h.to_ring(ring)
-    if _verify_witness(I, w1, w2):
-        return Primality(NOT_PRIME, (w1, w2))
-    return Primality(UNKNOWN, reason="lattice defect witness failed verification")
+    return _witnessed(I, g.to_ring(ring), h.to_ring(ring)) or Primality(
+        UNKNOWN, reason="lattice defect witness failed verification"
+    )
 
 
 def _univariate_of(g):
@@ -219,21 +224,27 @@ def _principal_univariate(I, gb):
     if data is None:
         return None
     idx, coeffs = data
+    ell = I.ring.var(I.ring.names[idx])
+    return _factor_witness(
+        I, ell, coeffs, "univariate witness failed verification"
+    ) or Primality(PRIME)
+
+
+def _factor_witness(I, ell, coeffs, failed):
+    """What one factor search says of `coeffs`, a polynomial in ell that lies
+    in I: None when it is irreducible, unknown when the search refuses, else
+    the witness (factor(ell), cofactor(ell)), or unknown with reason `failed`
+    when that witness does not check.  A factor divides exactly: a rational
+    root is checked by evaluation, a Kronecker factor by division."""
     try:
         factor = unifactor.factor_once(coeffs)
     except LuError as exc:
         return Primality(UNKNOWN, reason=str(exc))
     if factor is None:
-        return Primality(PRIME)
-    quot, rem = unifactor.divmod_poly(coeffs, factor)
-    if rem:
-        return Primality(UNKNOWN, reason="factor did not divide")
-    ell = I.ring.var(I.ring.names[idx])
-    w1 = _subst_dense(ell, factor)
-    w2 = _subst_dense(ell, quot)
-    if _verify_witness(I, w1, w2):
-        return Primality(NOT_PRIME, (w1, w2))
-    return Primality(UNKNOWN, reason="univariate witness failed verification")
+        return None
+    quot, _ = unifactor.divmod_poly(coeffs, factor)
+    w1, w2 = _subst_dense(ell, factor), _subst_dense(ell, quot)
+    return _witnessed(I, w1, w2) or Primality(UNKNOWN, reason=failed)
 
 
 def standard_monomials(I):
@@ -282,15 +293,15 @@ def minimal_polynomial(I, f):
     return _univariate_of(g)[1]
 
 
-def _zero_dim_class(I):
+def _zero_dim_class(I, gb):
+    """A field, certified by a primitive element whose minimal polynomial is
+    irreducible of degree dim_k(R/I), or a witness from a factor of some
+    candidate's minimal polynomial."""
     if I.ring.field.char != 0:
         return Primality(UNKNOWN, reason="zero dimensional route needs characteristic zero")
     std = standard_monomials(I)
     if std is None:
         return None
-    D = len(std)
-    if D == 0:
-        return Primality(NOT_PRIME, reason="unit ideal")
     ring = I.ring
     candidates = [ring.var(nm) for nm in ring.names]
     for i, nm in enumerate(ring.names):
@@ -299,23 +310,14 @@ def _zero_dim_class(I):
     best_unknown = None
     for ell in candidates:
         mp = minimal_polynomial(I, ell)
-        try:
-            factor = unifactor.factor_once(mp)
-        except LuError as exc:
-            best_unknown = Primality(UNKNOWN, reason=str(exc))
-            continue
-        if factor is not None:
-            quot, rem = unifactor.divmod_poly(mp, factor)
-            if rem:
-                continue
-            w1 = _subst_dense(ell, factor)
-            w2 = _subst_dense(ell, quot)
-            if _verify_witness(I, w1, w2):
-                return Primality(NOT_PRIME, (w1, w2))
-            best_unknown = Primality(UNKNOWN, reason="zero dimensional witness failed")
-            continue
-        if len(mp) - 1 == D:
-            return Primality(PRIME)
+        got = _factor_witness(I, ell, mp, "zero dimensional witness failed")
+        if got is None:
+            if len(mp) - 1 == len(std):
+                return Primality(PRIME)
+        elif got.verdict == NOT_PRIME:
+            return got
+        else:
+            best_unknown = got
     return best_unknown or Primality(
         UNKNOWN, reason="no primitive element found among the candidates"
     )
@@ -331,34 +333,23 @@ def _subst_dense(ell, coeffs):
     return acc
 
 
+_CLASSES = (_monomial_witness, _binomial_class, _principal_univariate, _zero_dim_class)
+
+
 @lru_cache(maxsize=MEMO_CAP)
 def is_prime(I):
     """Primality verdict for a polynomial ideal; see the module docstring."""
     if I.is_unit_ideal():
         return Primality(NOT_PRIME, reason="unit ideal")
     gb = I.groebner()
-    if not gb:
+    if _is_variable_gb(gb) or _graph_class(I):
         return Primality(PRIME)
-    if _is_variable_gb(gb):
-        return Primality(PRIME)
-    if _graph_class(I):
-        return Primality(PRIME)
-    if _is_monomial_gb(gb):
-        got = _monomial_witness(I, gb)
-        if got:
+    unknown = None
+    for cls in _CLASSES:
+        got = cls(I, gb)
+        if got is not None and got.verdict != UNKNOWN:
             return got
-    got = _binomial_class(I, gb)
-    if got is not None and got.verdict != UNKNOWN:
-        return got
-    unknown = got
-    got = _principal_univariate(I, gb)
-    if got is not None and got.verdict != UNKNOWN:
-        return got
-    unknown = unknown or got
-    got = _zero_dim_class(I)
-    if got is not None and got.verdict != UNKNOWN:
-        return got
-    unknown = unknown or got
+        unknown = unknown or got
     return unknown or Primality(UNKNOWN, reason="no decisive class applies")
 
 
@@ -369,7 +360,7 @@ def require_prime(I, what):
     if verdict.verdict == NOT_PRIME:
         w = ""
         if verdict.witness:
-            w = f" witness ({verdict.witness[0].text()})*({verdict.witness[1].text()})"
+            w = f"witness ({verdict.witness[0].text()})*({verdict.witness[1].text()})"
         raise CertificationError(f"{what} is not prime", w or verdict.reason)
     raise UnsupportedInstance(f"cannot certify {what} prime: {verdict.reason}")
 
@@ -431,15 +422,14 @@ def _squarefree_coordinates(J):
 
 
 def _certify_radical(J, zero_dim_reduced):
+    """J, once a certificate class proves it radical: zero dimensional with
+    squarefree minimal polynomials of the variables in characteristic zero
+    (Seidenberg's lemma), monomial (squarefree, since `radical` left no
+    monomial generator with a squarefree part outside J), prime, or variables
+    plus a binomial part saturated at its own, disjoint variables."""
     ring = J.ring
     gb = J.groebner()
-    if not gb:
-        return J
-    if _is_monomial_gb(gb):
-        if all(max(next(iter(g.terms))) <= 1 for g in gb):
-            return J
-        raise UnsupportedInstance("monomial basis failed the squarefree check")
-    if is_prime(J).is_prime:
+    if zero_dim_reduced or _is_monomial_gb(gb) or is_prime(J).is_prime:
         return J
     mono_vars = set()
     binom_vars = set()
@@ -447,9 +437,7 @@ def _certify_radical(J, zero_dim_reduced):
     others = False
     for g in gb:
         if len(g.terms) == 1:
-            e = next(iter(g.terms))
-            if max(e) > 1:
-                others = True
+            (e,) = g.terms
             mono_vars |= {ring.names[i] for i, x in enumerate(e) if x}
         elif _pure_difference(g):
             binoms.append(g)
@@ -462,8 +450,6 @@ def _certify_radical(J, zero_dim_reduced):
         if _zero_divisor_variable(Ideal(ring, binoms), sorted(binom_vars)) is None:
             return J
         raise UnsupportedInstance("binomial part is not saturated at its variables")
-    if zero_dim_reduced:
-        return J
     raise UnsupportedInstance("radical certificate classes exhausted")
 
 
@@ -576,7 +562,7 @@ def associated_primes(I):
     if gb and _is_monomial_gb(gb):
         return candidates
     for Q in candidates:
-        if _certify_associated(I, Q) is None and not _minimal(Q, candidates):
+        if not _minimal(Q, candidates) and _certify_associated(I, Q) is None:
             raise UnsupportedInstance(
                 "embedded prime candidate resisted witness certification"
             )
@@ -625,7 +611,6 @@ def krull_dimension(I):
             sset = set(S)
             if all(not sup <= sset for sup in supports):
                 return size
-    return 0
 
 
 def local_dimension(I, center):

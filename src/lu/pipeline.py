@@ -9,9 +9,11 @@ three that the nilpotent graded pieces become free along the center.  Higher
 rank splits off the first value row, uniformizes the localized and quotient
 data in sub-runs, and lifts each first blowup back; nothing is trusted across
 a lift: the lifted chart re-runs the full certificate chain before it is
-accepted.  run_reduction then verifies each chart once (reduced ring
-regular, normally flat): at higher rank a failure is refused, at rank one
-the oracle is asked for the next blowup on that chart.
+accepted.  At higher rank step two leaves a regular chart and step three a
+normally flat one, so run_reduction rechecks regularity only on a chart
+that step three made, and refuses a failure.  At rank one it verifies each
+chart once (reduced ring regular, normally flat) and asks the oracle for the
+next blowup on a chart that fails.
 
 `Run.apply` is the one way a run blows up: it spends from the pool
 (BLOWUP_POOL unless the caller says otherwise), transports and re-certifies
@@ -410,18 +412,19 @@ def _reduce(run, oracle):
     if run.nu.rank > 1:
         _lift_loops(run, oracle)
         step2(run)
+        # step two leaves the chart regular and step three returns only on
+        # a normally flat one, so only a chart step three made is rechecked
+        before = len(run.steps)
         step3(run)
+        if len(run.steps) > before and not is_regular_local(run.L.reduced()).regular:
+            raise CertificationError(
+                "final verification", "regular=False, normally_flat=True"
+            )
+        return
     while True:
         L, nu = run.L, run.nu
-        regular = is_regular_local(L.reduced()).regular
-        # the refusal at higher rank reports both facts; the oracle needs one
-        flat = (regular or nu.rank > 1) and is_normally_flat(L).flat
-        if regular and flat:
+        if is_regular_local(L.reduced()).regular and is_normally_flat(L).flat:
             return
-        if nu.rank > 1:
-            raise CertificationError(
-                "final verification", f"regular={regular}, normally_flat={flat}"
-            )
         B = (oracle or toric_uniformizer)(L, nu)
         if B.source != L:
             raise IsomorphismCheckFailed(

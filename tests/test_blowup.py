@@ -1,5 +1,8 @@
 """Local blowups: charts, transports, composition, and the two lifts."""
 
+import json
+from pathlib import Path
+
 import pytest
 from conftest import ideal, ring, scene
 
@@ -21,7 +24,11 @@ from lu.errors import (
 )
 from lu.ideals import Ideal
 from lu.localring import LocalRing
+from lu.parse import parse_poly
+from lu.scenes import load_scene
 from lu.valuations import WeightValuation
+
+GOLDEN_TRACES = Path(__file__).resolve().parents[1] / "bench" / "golden" / "traces"
 
 
 def _plane():
@@ -241,3 +248,38 @@ def test_quotient_lift_checks_the_contraction():
         pass
     else:
         raise AssertionError("lifted a denominator that dies in the quotient")
+
+
+def _golden_runs():
+    """(name, scene, steps) of each golden trace: F1-F3 and the cusps
+    y^a - x^b with weights (a, b), as the benchmark draws them."""
+    for path in sorted(GOLDEN_TRACES.glob("*.json")):
+        source = path.stem
+        if source.startswith("cusp_Q_"):
+            a, b = source[len("cusp_Q_"):].split(",")
+            source = {
+                "field": "Q",
+                "vars": ["x", "y"],
+                "ideal": [f"y^{a} - x^{b}"],
+                "localize_at": ["x", "y"],
+                "valuation": {"support": [], "weights": {"x": [int(a)], "y": [int(b)]},
+                              "rank": 1},
+            }
+        yield path.stem, source, json.loads(path.read_text())["steps"]
+
+
+def test_the_denominator_is_a_nonzerodivisor_on_every_golden_chart():
+    """`local_blowup` saturates at b, so J : b == J on its chart; checked on
+    every chart of the six golden traces, each the chart the trace records."""
+    charts = []
+    for name, source, steps in _golden_runs():
+        L, nu = load_scene(source)
+        for s in steps:
+            B = local_blowup(L, parse_poly(L.ring, s["b"]),
+                             [parse_poly(L.ring, a) for a in s["a_list"]], nu=nu)
+            J = B.chart.defining
+            assert J.canonical_strings() == s["chart_ideal_gb"], name
+            assert J.colon(B.b.to_ring(J.ring)) == J, name
+            L, nu = B.chart, transport_through_blowup(nu, B)
+            charts.append(name)
+    assert len(set(charts)) == len(charts) == 6

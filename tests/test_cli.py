@@ -245,3 +245,35 @@ def test_check_certifies_the_scene_over_the_square_root_of_two(tmp_path, capsys)
     path.write_text(json.dumps(SQRT2_SCENE))
     assert main(["check", str(path)]) == 0
     assert "class: weight-homogeneous" in capsys.readouterr().out
+
+
+def test_the_two_points_are_uniformized_with_no_blowup(tmp_path, capsys):
+    """Q[x]/(x^2 - x) at (x): its radical is certified zero dimensionally,
+    though x is a zero divisor on x^2 - x."""
+    path = tmp_path / "two-points.json"
+    path.write_text(json.dumps({
+        "field": "Q", "vars": ["x"], "ideal": ["x^2 - x"], "localize_at": ["x"],
+        "valuation": {"support": ["x"], "weights": {"x": [1]}, "rank": 1},
+    }))
+    assert main(["check", str(path)]) == 0
+    assert "\nreduced regular: True (embdim=0, dim=0)\n" in capsys.readouterr().out
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: Uniformized", "ideal: ['x^2 - x']", "center: ['x']"
+    ]
+
+
+@pytest.mark.parametrize("center, witness", [("x^2 - 1", "(x - 1)*(x + 1)"),
+                                             ("x^2 - 4", "(x + 2)*(x - 2)")])
+def test_a_center_that_is_not_prime_exits_1_with_its_witness(tmp_path, capsys, center,
+                                                             witness):
+    """A lattice defect and a zero dimensional factor witness."""
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps({
+        "field": "Q", "vars": ["x", "y"], "ideal": [], "localize_at": ["y", center],
+        "valuation": {"support": [], "weights": {"y": [1]}, "rank": 1},
+    }))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: localization center is not prime: witness {witness}\n"
+    )

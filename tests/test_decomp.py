@@ -14,7 +14,9 @@ from lu.decomp import (
     require_prime,
 )
 from lu.errors import CertificationError, UnsupportedInstance
-from lu.fields import GF
+from lu.fields import GF, QQ
+from lu.pipeline import run_reduction
+from lu.scenes import load_scene
 
 from conftest import ideal, ring
 
@@ -79,6 +81,9 @@ def test_unknown_is_honest(xy):
 def test_require_prime_raises_with_witness(xy):
     with pytest.raises(CertificationError):
         require_prime(ideal(xy, "x^2", "x*y"), "test ideal")
+    with pytest.raises(CertificationError) as err:
+        require_prime(ideal(xy, "y", "x^2 - 1"), "localization center")
+    assert str(err.value) == "localization center is not prime: witness (x - 1)*(x + 1)"
 
 
 def test_radical(xy):
@@ -91,6 +96,19 @@ def test_radical(xy):
 def test_radical_refuses_a_binomial_part_unsaturated_at_a_variable():
     with pytest.raises(UnsupportedInstance, match="binomial part is not saturated"):
         radical(ideal(ring("x", "y", "z"), "x*y - x*z"))
+
+
+def test_a_zero_dimensional_binomial_ideal_with_squarefree_coordinates_is_radical(xy):
+    """Seidenberg's lemma: in characteristic zero, a zero dimensional ideal
+    holding a squarefree polynomial in each variable is radical, though x
+    is a zero divisor on its binomial part."""
+    I = ideal(ring("x"), "x^2 - x")
+    assert radical(I) == I
+    assert [q.canonical_strings() for q in minimal_primes(I)] == [["x"], ["x - 1"]]
+    J = ideal(xy, "x^2 - x", "y")
+    assert radical(J) == J
+    got = [q.canonical_strings() for q in minimal_primes(J)]
+    assert got == [["y", "x"], ["y", "x - 1"]]
 
 
 def test_associated_primes_frozen(xy):
@@ -154,6 +172,22 @@ def test_a_leaf_not_certified_prime_is_refused_not_returned(xy, gen):
             primes(ideal(xy, gen))
 
 
+def test_associated_primes_asks_no_colon_certificate_of_a_minimal_prime(monkeypatch):
+    """A minimal candidate is associated by the verified split alone, so the
+    colon certificate is asked only of the others; on F1-F4 of none."""
+    asked = []
+    certify = decomp._certify_associated
+
+    def recording(I, Q):
+        asked.append((I, Q))
+        return certify(I, Q)
+
+    monkeypatch.setattr(decomp, "_certify_associated", recording)
+    for name in ("F1", "F2", "F3", "F4"):
+        assert run_reduction(*load_scene(name)).verdict == "Uniformized"
+    assert [Q for I, Q in asked if Q in minimal_primes(I)] == []
+
+
 def test_minimal_primes_takes_no_colon_certificate(monkeypatch):
     def refuse(*args):
         raise AssertionError("minimal_primes certified a colon")
@@ -165,3 +199,129 @@ def test_minimal_primes_takes_no_colon_certificate(monkeypatch):
     assert got == [["y^2 - x^3"]]
     I = ideal(R, "x^2", "x*y", "y - z")
     assert [q.canonical_strings() for q in minimal_primes(I)] == [["z - y", "x"]]
+
+
+EXHAUSTED = "radical certificate classes exhausted"
+UNSATURATED = "binomial part is not saturated at its variables"
+CAP = "irreducibility test capped at degree 8, got 9"
+CHAR0 = "lattice primality needs characteristic zero"
+
+# field, variables, generators; is_prime's verdict, witness texts and reason;
+# radical's and minimal_primes' canonical strings, or the refusal's text
+CASCADE = [
+    # the unit ideal first, then the zero, variable and graph classes
+    ("Q", "xy", ["1"], NOT_PRIME, None, "unit ideal", ["1"], []),
+    ("Q", "xy", [], PRIME, None, "", [], [[]]),
+    ("Q", "xy", ["x", "y"], PRIME, None, "", ["y", "x"], [["y", "x"]]),
+    ("Q", "xyz", ["x + y - 1", "z - y"], PRIME, None, "",
+     ["z + x - 1", "y + x - 1"], [["z + x - 1", "y + x - 1"]]),
+    # monomial witness
+    ("Q", "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "x"), "", ["x"], [["x"]]),
+    ("Q", "xy", ["x*y"], NOT_PRIME, ("x", "y"), "", ["x*y"], [["x"], ["y"]]),
+    ("Q", "xyz", ["x^2", "y*z"], NOT_PRIME, ("x", "x"), "",
+     ["y*z", "x"], [["y", "x"], ["z", "x"]]),
+    # binomial lattice: saturated, a variable zero divisor, a lattice defect
+    ("Q", "xy", ["x*y - 1"], PRIME, None, "", ["x*y - 1"], [["x*y - 1"]]),
+    ("Q", "xy", ["y^2 - x^3"], PRIME, None, "", ["y^2 - x^3"], [["y^2 - x^3"]]),
+    ("Q", "uxy", ["u*y - x^2"], PRIME, None, "", ["u*y - x^2"], [["u*y - x^2"]]),
+    ("Q", "xyz", ["x*y - x*z"], NOT_PRIME, ("x", "-z + y"), "", UNSATURATED, UNSATURATED),
+    ("Q", "xy", ["x^2*y - y"], NOT_PRIME, ("y", "x^2 - 1"), "", UNSATURATED, UNSATURATED),
+    ("Q", "x", ["x^2 - x"], NOT_PRIME, ("x", "x - 1"), "", ["x^2 - x"], [["x"], ["x - 1"]]),
+    ("Q", "xy", ["x^2 - x", "y"], NOT_PRIME, ("x", "x - 1"), "",
+     ["y", "x^2 - x"], [["y", "x"], ["y", "x - 1"]]),
+    ("Q", "xy", ["x^2 - y^2"], NOT_PRIME, ("-y + x", "y + x"), "",
+     ["y^2 - x^2"], [["y + x"], ["y - x"]]),
+    ("Q", "xy", ["x^3 - y^3"], NOT_PRIME, ("-y + x", "y^2 + x*y + x^2"), "",
+     ["y^3 - x^3"], EXHAUSTED),
+    ("Q", "xy", ["x^2 - y^4"], NOT_PRIME, ("-y^2 + x", "y^2 + x"), "", ["y^4 - x^2"], EXHAUSTED),
+    ("Q", "xy", ["y", "x^2 - 1"], NOT_PRIME, ("x - 1", "x + 1"), "",
+     ["y", "x^2 - 1"], [["y", "x + 1"], ["y", "x - 1"]]),
+    # principal univariate: irreducible, a rational root, a Kronecker factor,
+    # the degree cap and the coefficient cap
+    ("Q", "xy", ["x^2 - 2"], PRIME, None, "", ["x^2 - 2"], [["x^2 - 2"]]),
+    ("Q", "xy", ["x^3 - 2*x"], NOT_PRIME, ("x", "x^2 - 2"), "", EXHAUSTED, EXHAUSTED),
+    ("Q", "xy", ["x^4 + 4"], NOT_PRIME, ("x^2 - 2*x + 2", "x^2 + 2*x + 2"), "",
+     EXHAUSTED, EXHAUSTED),
+    ("Q", "xy", ["x^9 - 2"], UNKNOWN, None, CAP, EXHAUSTED, EXHAUSTED),
+    ("Q", "x", ["x^9 - 2"], UNKNOWN, None, CAP,
+     ["x^9 - 2"], f"cannot split (x^9 - 2) into primes: unknown, {CAP}"),
+    ("Q", "xy", ["x^2 - 3000000000000"], UNKNOWN, None,
+     "integer too large to factor: 3000000000000", EXHAUSTED, EXHAUSTED),
+    # zero dimensional: a field, witnesses from a variable and from x + y,
+    # and the degree cap
+    ("Q", "xy", ["x^2 - 2", "y^2 - 3"], PRIME, None, "",
+     ["y^2 - 3", "x^2 - 2"], [["y^2 - 3", "x^2 - 2"]]),
+    ("Q", "xy", ["y", "x^2 - 4"], NOT_PRIME, ("x + 2", "x - 2"), "",
+     ["y", "x^2 - 4"], [["y", "x + 2"], ["y", "x - 2"]]),
+    ("Q", "xy", ["x^2 - 2", "y^2"], NOT_PRIME, ("y", "y"), "",
+     ["y", "x^2 - 2"], [["y", "x^2 - 2"]]),
+    ("Q", "xy", ["x^2 - 2", "y^2 - 2"], NOT_PRIME, ("y + x", "y^2 + 2*x*y + x^2 - 8"), "",
+     ["y^2 - 2", "x^2 - 2"], [["y + x", "x^2 - 2"], ["y - x", "x^2 - 2"]]),
+    ("Q", "xy", ["x^9 - 2", "y"], UNKNOWN, None, CAP,
+     ["y", "x^9 - 2"], f"cannot split (y, x^9 - 2) into primes: unknown, {CAP}"),
+    # no class decides
+    ("Q", "xy", ["x^2 + y^2 - 1"], UNKNOWN, None, "no decisive class applies",
+     EXHAUSTED, EXHAUSTED),
+    ("Q", "xy", ["x^2 + x*y + y^2"], UNKNOWN, None, "no decisive class applies",
+     EXHAUSTED, EXHAUSTED),
+    # over F_p: the classes before the lattice decide as over Q; every other
+    # ideal gets the lattice class's reason, which comes before the zero
+    # dimensional class's
+    (5, "xy", ["x", "y"], PRIME, None, "", ["y", "x"], [["y", "x"]]),
+    (5, "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "x"), "", ["x"], [["x"]]),
+    (5, "xy", ["y^2 - x^3"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
+    (5, "xy", ["x^2 + y^2 - 1"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
+    (7, "xy", ["x^2 - 2", "y"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
+]
+
+
+def _cascade_ideal(field, names, gens):
+    return ideal(ring(*names, field=QQ if field == "Q" else GF(field)), *gens)
+
+
+def _outcome(fn, I):
+    try:
+        got = fn(I)
+    except UnsupportedInstance as exc:
+        return str(exc)
+    if isinstance(got, list):
+        return [q.canonical_strings() for q in got]
+    return got.canonical_strings()
+
+
+@pytest.mark.parametrize(
+    "field, names, gens, verdict, witness, reason, rad, minimal",
+    CASCADE,
+    ids=[f"{row[0]}-{row[1]}-{', '.join(row[2])}" for row in CASCADE],
+)
+def test_the_certificate_cascade_table(field, names, gens, verdict, witness, reason, rad,
+                                       minimal):
+    I = _cascade_ideal(field, names, gens)
+    got = is_prime(I)
+    texts = got.witness and tuple(w.text() for w in got.witness)
+    assert (got.verdict, texts, got.reason) == (verdict, witness, reason)
+    assert _outcome(radical, I) == rad
+    assert _outcome(minimal_primes, I) == minimal
+
+
+def test_the_table_reaches_every_answer_of_every_class(monkeypatch):
+    """Each class of the cascade answers prime, not-prime and unknown on
+    some row (a monomial basis always has a witness)."""
+    answers = set()
+
+    def recording(cls):
+        def answer(I, gb):
+            got = cls(I, gb)
+            if got is not None:
+                answers.add((cls.__name__, got.verdict))
+            return got
+        return answer
+
+    monkeypatch.setattr(decomp, "_CLASSES", tuple(recording(c) for c in decomp._CLASSES))
+    decomp.is_prime.cache_clear()
+    for field, names, gens, *_ in CASCADE:
+        is_prime(_cascade_ideal(field, names, gens))
+    decomp.is_prime.cache_clear()
+    every = {(cls, v) for cls in ("_binomial_class", "_principal_univariate", "_zero_dim_class")
+             for v in (PRIME, NOT_PRIME, UNKNOWN)}
+    assert answers == every | {("_monomial_witness", NOT_PRIME)}

@@ -286,9 +286,9 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
         "F1": (26, 42, 7),
-        "F2": (59, 559, 190),
+        "F2": (56, 552, 188),
         "F3": (31, 45, 55),
-        "F4": (6, 0, 0),
+        "F4": (5, 0, 0),
     }
     for name, counts in expected.items():
         for memo in (ideals._cached_basis, decomp.is_prime, decomp.radical):

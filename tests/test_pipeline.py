@@ -1,6 +1,7 @@
 """The three reduction steps and the driving loop."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from conftest import CUSP_LINE_SCENE, NODE_SCENE, scene
@@ -195,13 +196,29 @@ def test_a_refused_trace_carries_the_valuation_of_its_final_chart():
     assert (trace.final_nu.support, trace.final_nu.rows) == (moved.support, moved.rows)
 
 
-def test_a_run_and_its_trace_check_regularity_at_most_five_times_on_f3(monkeypatch):
+def test_a_run_and_its_trace_check_regularity_at_most_four_times_on_f3(monkeypatch):
     calls = _count_calls(monkeypatch, pipeline, "is_regular_local")
     monkeypatch.setattr(lu.scenes, "is_regular_local", pipeline.is_regular_local)
     trace = run_reduction(*load_scene("F3"))
     assert trace.verdict == "Uniformized"
     trace_to_json(trace)
-    assert len(calls) <= 5
+    assert len(calls) <= 4
+
+
+def test_a_chart_step_three_made_is_rechecked_for_regularity(monkeypatch):
+    """F2's step three blows up once; its chart, the ring with t, is the
+    only one the final verification rechecks, and a failure is refused."""
+    real = pipeline.is_regular_local
+
+    def singular_chart(L):
+        got = real(L)
+        return replace(got, regular=False) if "t" in L.ring.names else got
+
+    monkeypatch.setattr(pipeline, "is_regular_local", singular_chart)
+    trace = run_reduction(*load_scene("F2"))
+    assert [s.label for s in trace.steps] == ["normal-flat"]
+    assert trace.verdict == "Unsupported"
+    assert trace.reason == "final verification: regular=False, normally_flat=True"
 
 
 def test_each_trim_probe_reads_the_split_center_once(monkeypatch):
