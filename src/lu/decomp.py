@@ -151,8 +151,6 @@ def _zero_divisor_variable(B, names):
 def _binomial_class(I, gb):
     """Variables plus pure-difference binomials; decided through the lattice."""
     ring = I.ring
-    if ring.field.char != 0:
-        return Primality(UNKNOWN, reason="lattice primality needs characteristic zero")
     varnames = set()
     binoms = []
     for g in gb:
@@ -163,6 +161,8 @@ def _binomial_class(I, gb):
         if pd is None:
             return None
         binoms.append(pd)
+    if ring.field.char != 0:
+        return Primality(UNKNOWN, reason="lattice primality needs characteristic zero")
     # a reduced basis keeps killed variables out of the binomials
     sub = ring.drop(varnames)
     rows = []
@@ -297,11 +297,11 @@ def _zero_dim_class(I, gb):
     """A field, certified by a primitive element whose minimal polynomial is
     irreducible of degree dim_k(R/I), or a witness from a factor of some
     candidate's minimal polynomial."""
-    if I.ring.field.char != 0:
-        return Primality(UNKNOWN, reason="zero dimensional route needs characteristic zero")
     std = standard_monomials(I)
     if std is None:
         return None
+    if I.ring.field.char != 0:
+        return Primality(UNKNOWN, reason="zero dimensional route needs characteristic zero")
     ring = I.ring
     candidates = [ring.var(nm) for nm in ring.names]
     for i, nm in enumerate(ring.names):

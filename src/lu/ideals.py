@@ -13,7 +13,13 @@ one of three routes to it:
 - colon and intersection are syzygy computations through
   `lu.modules.relation_module`: (I : f) is the relation module of [f]
   modulo I, and I ∩ J the image of the relation module of I's reduced basis
-  modulo J; `colon_ideal` meets colons and `saturation` iterates them;
+  modulo J; `colon_ideal` meets colons and `saturation` iterates them.
+  Before its syzygies, a colon (and a saturation, once, before its chain)
+  solves each generator c*x_i - d*m, m a monomial free of x_i, for x_i, as
+  a blowup chart's b*t_i - a_i often is.  That substitution is an
+  isomorphism k[x]/I -> k[x']/I' onto a ring with fewer variables, so the
+  colon ideal and the saturation's exponent N are those of I, and the
+  module basis is built over k[x'];
 - elimination takes a basis under an elimination order.
 
 `lu.modules` imports this module when it loads, so the functions here that
@@ -483,8 +489,13 @@ class Ideal:
     def colon(self, f):
         """The transporter (self : f) for a single polynomial f, by syzygies.
 
-        It is spanned by the rows of relation_module([f], self): every u
-        with u*f in self.
+        Membership and a constant f are answered first.  Otherwise `_peel`
+        solves the binomials c*x_i - d*m among the generators, and the colon
+        is the peeled generators plus the rows of relation_module([f'], I')
+        in the smaller ring: every u with u*f' in I'.  Peeling is the
+        isomorphism k[x]/I -> k[x']/I' sending f to f', and the peeled
+        generators span its kernel, so they and the preimage of (I' : f')
+        span (self : f).  With nothing to peel, I' is self and f' is f.
         """
         from .modules import relation_module
 
@@ -492,7 +503,9 @@ class Ideal:
             return Ideal(self.ring, [self.ring.one()])
         if f.constant_value() is not None:
             return self
-        return Ideal(self.ring, [u for (u,) in relation_module([f], self)])
+        peeled, small, fs = _peel(self, f)
+        rows = relation_module([fs], small)
+        return Ideal(self.ring, peeled + [u.to_ring(self.ring) for (u,) in rows])
 
     def colon_ideal(self, other):
         """(self : other) for an ideal, as the meet of the generator transporters."""
@@ -509,12 +522,100 @@ class Ideal:
 
         Returns (J, N) where J = (self : f^N) = (self : f^(N+1)); N = 0 means
         the ideal was already saturated.
+
+        The chain of colons runs on the peeled presentation (see `colon`):
+        the isomorphism k[x]/I -> k[x']/I' sends each (I : f^n) onto
+        (I' : f'^n), so the chain stabilizes at the same N, and J is the
+        peeled generators plus the last colon of the chain.
         """
-        prev = self
+        peeled, prev, fs = _peel(self, f)
         n = 0
         while True:
-            nxt = prev.colon(f)
+            nxt = prev.colon(fs)
             if nxt == prev:
-                return prev, n
+                break
             prev = nxt
             n += 1
+        if not n:
+            return self, 0
+        return Ideal(self.ring, peeled + [g.to_ring(self.ring) for g in prev.gens]), n
+
+
+def _solvable(g):
+    """(i, r, m) when g = c*x_i - d*m with c, d nonzero constants and m a
+    monomial free of x_i, so x_i = r*m, r = d/c, modulo g; else None.
+
+    When both terms are variables, the later one is solved.
+    """
+    if len(g.terms) != 2:
+        return None
+    F = g.ring.field
+    items = list(g.terms.items())
+    best = None
+    for (ex, cx), (em, cm) in (items, items[::-1]):
+        if sum(ex) == 1:
+            i = ex.index(1)
+            if not em[i] and (best is None or i > best[0]):
+                best = i, F.neg(F.div(cm, cx)), em
+    return best
+
+
+def _substitute(p, i, r, m):
+    """p with x_i replaced by r*m.  Each term goes to one term, so the term
+    count never grows; exponents go through mono_mul, so EXP_CAP holds."""
+    if not any(e[i] for e in p.terms):
+        return p
+    F = p.ring.field
+    zero = F.zero
+    powers = [F.one]
+    t = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        if k:
+            while len(powers) <= k:
+                powers.append(F.mul(powers[-1], r))
+            c = F.mul(c, powers[k])
+            e = mono_mul(e[:i] + (0,) + e[i + 1 :], tuple(k * x for x in m))
+        s = F.add(t.get(e, zero), c)
+        if s == zero:
+            t.pop(e, None)
+        else:
+            t[e] = s
+    return Polynomial(p.ring, t)
+
+
+def _peel(I, f):
+    """(peeled, I', f'): the smallest presentation of k[x]/I that solving
+    binomials gives, and f's image there.
+
+    While some generator g is c*x_i - d*m (`_solvable`), g is set aside and
+    x_i := (d/c)*m is substituted in the other generators and in f.  Each
+    set-aside g lies in I, since it differs from an earlier generator by a
+    multiple of an earlier set-aside one.  The substitutions compose to the
+    surjection k[x] -> k[x'] onto the variables left, whose kernel the
+    set-aside generators span; so k[x]/I is k[x']/I' with I' the remaining
+    generators moved to k[x'] (Greuel & Pfister, ch. 1-2, Singular's
+    `elimpart`).  With nothing to solve, returns ([], I, f).
+    """
+    # f's exponents are read against I's variables, as in Ideal.normal_form
+    if not isinstance(f, Polynomial) or f.ring != I.ring:
+        raise LuError(f"{f!r} is not a polynomial of {I.ring!r}")
+    gens = list(I.gens)
+    peeled, solved = [], []
+    while True:
+        for k, g in enumerate(gens):
+            hit = _solvable(g)
+            if hit:
+                break
+        else:
+            break
+        i, r, m = hit
+        peeled.append(g)
+        solved.append(I.ring.names[i])
+        del gens[k]
+        gens = [h for h in (_substitute(h, i, r, m) for h in gens) if h.terms]
+        f = _substitute(f, i, r, m)
+    if not solved:
+        return peeled, I, f
+    small = I.ring.drop(solved)
+    return peeled, Ideal(small, [h.to_ring(small) for h in gens]), f.to_ring(small)

@@ -294,7 +294,10 @@ class Polynomial:
         into a chart ring, renaming chart variables and contracting to a
         subring are all this exponent remap.  A variable the target lacks,
         a rename that merges two variables, or another field is a LuError.
+        Into its own ring with no rename, a polynomial is itself.
         """
+        if target is self.ring and not rename:
+            return self
         if target.field != self.ring.field:
             raise LuError(f"cannot move {self.ring!r} into {target!r}")
         names = self.ring.names

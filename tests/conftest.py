@@ -37,6 +37,31 @@ def scene(names, gens, loc, supp, columns, rank, field=QQ):
     return LocalRing(R, I, center), WeightValuation(R, support, rows)
 
 
+def chart_like_ideal(rng, R, f=None):
+    """A seeded ideal shaped like a blowup chart's: one or two binomials
+    c*v + d*m, m a monomial free of the variable v (m = 1 allowed), which
+    colon and saturation solve for v, beside one or two random binomials or
+    trinomials; with `f`, some of those are multiplied by a power of f.
+    Random ideals almost never contain such a binomial."""
+    F = R.field
+    coeff = lambda: F.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+    gens = []
+    for _ in range(rng.randrange(1, 3)):
+        i = rng.randrange(R.n)
+        m = [0 if j == i else rng.randrange(3) for j in range(R.n)]
+        gens.append(R.monomial([int(j == i) for j in range(R.n)], coeff())
+                    + R.monomial(m, coeff()))
+    for _ in range(rng.randrange(1, 3)):
+        g = R.zero()
+        for _ in range(rng.randrange(2, 4)):
+            g = g + R.monomial([rng.randrange(3) for _ in R.names], coeff())
+        if f is not None and rng.random() < 0.5:
+            g = g * f ** rng.randrange(1, 3)
+        gens.append(g)
+    rng.shuffle(gens)
+    return Ideal(R, gens)
+
+
 # The node y^2 = x^2 at the origin.  No splitter separates its two lines;
 # the primality witness of its radical does.
 NODE_SCENE = {

@@ -205,6 +205,7 @@ EXHAUSTED = "radical certificate classes exhausted"
 UNSATURATED = "binomial part is not saturated at its variables"
 CAP = "irreducibility test capped at degree 8, got 9"
 CHAR0 = "lattice primality needs characteristic zero"
+ZERO_DIM_CHAR0 = "zero dimensional route needs characteristic zero"
 
 # field, variables, generators; is_prime's verdict, witness texts and reason;
 # radical's and minimal_primes' canonical strings, or the refusal's text
@@ -264,14 +265,15 @@ CASCADE = [
      EXHAUSTED, EXHAUSTED),
     ("Q", "xy", ["x^2 + x*y + y^2"], UNKNOWN, None, "no decisive class applies",
      EXHAUSTED, EXHAUSTED),
-    # over F_p: the classes before the lattice decide as over Q; every other
-    # ideal gets the lattice class's reason, which comes before the zero
-    # dimensional class's
+    # over F_p: the classes before the lattice decide as over Q; a binomial
+    # ideal gets the lattice class's reason, a zero dimensional one the zero
+    # dimensional class's, and any other ideal no class's
     (5, "xy", ["x", "y"], PRIME, None, "", ["y", "x"], [["y", "x"]]),
     (5, "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "x"), "", ["x"], [["x"]]),
     (5, "xy", ["y^2 - x^3"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
-    (5, "xy", ["x^2 + y^2 - 1"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
-    (7, "xy", ["x^2 - 2", "y"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
+    (5, "xy", ["x^2 + y^2 - 1"], UNKNOWN, None, "no decisive class applies",
+     EXHAUSTED, EXHAUSTED),
+    (7, "xy", ["x^2 - 2", "y"], UNKNOWN, None, ZERO_DIM_CHAR0, EXHAUSTED, EXHAUSTED),
 ]
 
 
@@ -302,6 +304,21 @@ def test_the_certificate_cascade_table(field, names, gens, verdict, witness, rea
     assert (got.verdict, texts, got.reason) == (verdict, witness, reason)
     assert _outcome(radical, I) == rad
     assert _outcome(minimal_primes, I) == minimal
+
+
+@pytest.mark.parametrize("p, gens", [(5, ["x^2 + y^2 - 1"]), (7, ["x^2 - 2", "y"])])
+def test_the_lattice_class_passes_over_a_basis_that_is_not_binomial(p, gens):
+    """The characteristic guard sits below the shape check: an ideal over
+    F_p that is not binomial is not the lattice class's to refuse."""
+    I = _cascade_ideal(p, "xy", gens)
+    assert decomp._binomial_class(I, I.groebner()) is None
+    assert is_prime(I).reason != CHAR0
+
+
+@pytest.mark.parametrize("gens", [["y^2 - x^3"], ["u*y - x^3"]])
+def test_binomial_ideals_over_f_p_keep_the_lattice_reason(gens):
+    I = _cascade_ideal(7, "uxy", gens)
+    assert is_prime(I).reason == CHAR0
 
 
 def test_the_table_reaches_every_answer_of_every_class(monkeypatch):

@@ -285,9 +285,9 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
-        "F1": (26, 42, 7),
-        "F2": (56, 552, 188),
-        "F3": (31, 45, 55),
+        "F1": (27, 33, 4),
+        "F2": (59, 405, 117),
+        "F3": (32, 31, 26),
         "F4": (5, 0, 0),
     }
     for name, counts in expected.items():

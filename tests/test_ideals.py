@@ -3,13 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lu import decomp, ideals
+from lu import decomp, ideals, modules
 from lu.errors import LuError, ResourceLimit
+from lu.fields import GF, QQ
 from lu.ideals import Ideal, Limits, buchberger, groebner_basis, normal_form
+from lu.modules import relation_module
 from lu.orders import DegRevLex, elimination_order
 from lu.parse import parse_many, parse_poly
 
-from conftest import ideal, ring
+from conftest import chart_like_ideal, ideal, ring
 
 
 def test_membership(xy):
@@ -76,12 +78,14 @@ def test_a_generator_must_be_a_polynomial_of_the_ring(xy, gen):
 
 
 def test_an_element_of_another_ring_is_refused_not_misread(xy):
-    """y of QQ[y, x] has x's exponents in QQ[x, y]; it is not in (x)."""
-    I = ideal(xy, "x")
-    for f in (ring("y", "x").var("y"), ring("z").var("z"), 1, "x"):
-        for check in (I.contains, I.colon, I.normal_form):
-            with pytest.raises(LuError, match="not a polynomial of"):
-                check(f)
+    """y of QQ[y, x] has x's exponents in QQ[x, y]; it is not in (x).  A
+    saturation solves x = y^2 in (x - y^2) before any colon, so it checks f
+    itself."""
+    for I in (ideal(xy, "x"), ideal(xy, "x - y^2")):
+        for f in (ring("y", "x").var("y"), ring("z").var("z"), 1, "x"):
+            for check in (I.contains, I.colon, I.normal_form, I.saturation):
+                with pytest.raises(LuError, match="not a polynomial of"):
+                    check(f)
 
 
 def test_colon(xy):
@@ -154,6 +158,58 @@ def test_saturation_frozen_values():
     J, n = J0.saturation(parse_poly(S, "y"))
     assert J.canonical_strings() == ["x", "t"]
     assert n == 2
+
+
+def _colon_by_syzygies(I, f):
+    return Ideal(I.ring, [u for (u,) in relation_module([f], I)])
+
+
+def _saturation_by_syzygies(I, f):
+    """The colon chain by relation_module on the ideal as given, unpeeled."""
+    prev, n = I, 0
+    while True:
+        nxt = _colon_by_syzygies(prev, f)
+        if nxt == prev:
+            return prev, n
+        prev, n = nxt, n + 1
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_peeled_colon_and_saturation_match_the_syzygy_route(field, seed, shuffler):
+    """Solving chart binomials c*v + d*m changes neither (I : f), nor
+    (I : f^infinity), nor its exponent N, nor does the generators' order."""
+    R = ring("x", "y", "t", "s", field=field)
+    rng = random.Random(seed)
+    I = chart_like_ideal(rng, R)
+    f = R.var(rng.choice(R.names))
+    if rng.random() < 0.5:
+        f = f + R.monomial([rng.randrange(2) for _ in R.names], rng.choice([-1, 2]))
+    colon = _colon_by_syzygies(I, f).canonical_strings()
+    sat, n = _saturation_by_syzygies(I, f)
+    want = (colon, sat.canonical_strings(), n)
+    gens = list(I.gens)
+    shuffler.shuffle(gens)
+    for J in (I, Ideal(R, gens)):
+        K, m = J.saturation(f)
+        assert (J.colon(f).canonical_strings(), K.canonical_strings(), m) == want
+
+
+def test_the_chart_saturation_runs_its_syzygies_in_the_smaller_ring(monkeypatch):
+    """y = x*t is solved first, so the chain's relation modules are over
+    Q[x, t]; its last colon is of (t^2 - x), which solves x = t^2 in turn,
+    so that one is over Q[t].  None is over Q[x, y, t]."""
+    seen = []
+
+    def recording(gens, modulus):
+        seen.append(modulus.ring.names)
+        return relation_module(gens, modulus)
+
+    monkeypatch.setattr(modules, "relation_module", recording)
+    S = ring("x", "y", "t")
+    J, n = ideal(S, "y^2 - x^3", "x*t - y").saturation(parse_poly(S, "x"))
+    assert (J.canonical_strings(), n) == (["y - t^3", "x - t^2"], 2)
+    assert seen == [("x", "t"), ("x", "t"), ("t",)]
 
 
 def test_resource_limit(monkeypatch):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import COTANGENT_SCENES, cotangent_rings
+from conftest import COTANGENT_SCENES, chart_like_ideal, cotangent_rings
 
 from lu.decomp import minimal_polynomial, minimal_primes
 from lu.errors import LuError
@@ -176,6 +176,15 @@ def _cases(field, tag, count):
         yield R, syms, rng, f
 
 
+def _ideal_cases(field, tag, count):
+    """(R, syms, I, f): `count` random ideals, then `count` chart-like ones,
+    whose binomials c*v + d*m the colon solves before its syzygies."""
+    for R, syms, rng, f in _cases(field, tag, count):
+        yield R, syms, _random_ideal(rng, R, f), f
+    for R, syms, rng, f in _cases(field, f"{tag}/chart", count):
+        yield R, syms, chart_like_ideal(rng, R, f), f
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_intersect_matches_the_tag_variable_formula(field):
     for R, syms, rng, f in _cases(field, "intersect", 8):
@@ -187,8 +196,7 @@ def test_intersect_matches_the_tag_variable_formula(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_colon_matches_the_quotient_formula(field):
-    for R, syms, rng, f in _cases(field, "colon", 8):
-        I = _random_ideal(rng, R, f)
+    for R, syms, I, f in _ideal_cases(field, "colon", 8):
         want = _quotient([_to_expr(g, syms) for g in I.gens], _to_expr(f, syms), syms, field)
         assert _same_ideal(I.colon(f), want, syms, field), (I, f.text())
 
@@ -223,8 +231,7 @@ def test_eliminate_matches_a_lex_basis(field):
 def test_saturation_matches_the_rabinowitsch_formula(field):
     """(I : f^∞) and its exponent N, the least n with (I : f^n) = (I : f^(n+1))."""
     t = sp.Symbol("t_sat")
-    for R, syms, rng, f in _cases(field, "saturation", 6):
-        I = _random_ideal(rng, R, f)
+    for R, syms, I, f in _ideal_cases(field, "saturation", 6):
         A = [_to_expr(g, syms) for g in I.gens]
         fx = _to_expr(f, syms)
         J, N = I.saturation(f)
