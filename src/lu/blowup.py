@@ -13,7 +13,7 @@ LuError.  Text is parsed only at the boundaries (scenes, the command line,
 traces), and polynomials reach a chart ring through `Polynomial.to_ring`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ChartMismatch,
@@ -55,14 +55,10 @@ def _source_poly(ring, f):
     return f
 
 
-@dataclass(frozen=True)
-class LocalBlowup:
-    source: LocalRing
-    chart: LocalRing
-    b: Polynomial
-    a_list: tuple
-    t_names: tuple
-    stabilization_N: int
+class LocalBlowup(
+    namedtuple("LocalBlowup", "source chart b a_list t_names stabilization_N")
+):
+    __slots__ = ()
 
     def __repr__(self):
         a = ", ".join(f.text() for f in self.a_list)
@@ -143,10 +139,7 @@ def transport_through_blowup(nu, B):
     return WeightValuation(B.chart.ring, supp1, rows)
 
 
-@dataclass(frozen=True)
-class CenterIsoReport:
-    ok: bool
-    failures: tuple
+CenterIsoReport = namedtuple("CenterIsoReport", "ok failures")
 
 
 def verify_center_isos(B, nu):

@@ -109,9 +109,11 @@ def _cmd_run(args):
     trace = run_reduction(L, nu, budget=args.budget)
     _print_steps(trace.steps)
     print(f"verdict: {trace.verdict}" + (f" ({trace.reason})" if trace.reason else ""))
+    if args.trace:
+        # before the state, whose bases may be out of the budget that ended the run
+        write_trace(trace, args.trace)
     _print_state(trace.final_ring)
     if args.trace:
-        write_trace(trace, args.trace)
         print(f"trace written: {args.trace}")
     if trace.verdict == UNIFORMIZED:
         return 0

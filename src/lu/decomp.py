@@ -37,7 +37,7 @@ degrevlex basis, so every presentation of one ideal shares one entry, and
 `cache_info()` counts the verdicts reused and computed cold.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -54,11 +54,10 @@ UNKNOWN = "unknown"
 MAX_STANDARD_MONOMIALS = 4096
 
 
-@dataclass(frozen=True)
-class Primality:
-    verdict: str
-    witness: tuple = None  # (g, h) with g*h in I, neither g nor h in I
-    reason: str = ""
+class Primality(namedtuple("Primality", "verdict witness reason", defaults=(None, ""))):
+    """A witness is a pair (g, h) with g*h in I and neither g nor h in I."""
+
+    __slots__ = ()
 
     @property
     def is_prime(self):

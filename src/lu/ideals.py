@@ -72,7 +72,7 @@ basis of variables, the support of a valuation on F1 or F2, keys nothing.
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import le, mul
 
@@ -88,12 +88,8 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Budget for one basis computation."""
-
-    reductions: int = 10_000
-    term_ops: int = 1_000_000
+# budget for one basis computation
+Limits = namedtuple("Limits", "reductions term_ops", defaults=(10_000, 1_000_000))
 
 
 BUDGET = Limits()

@@ -15,7 +15,7 @@ as the point over x = sqrt(2), or an I not inside the center keeps the
 relation module of the center's basis (`cotangent_presentation`).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .decomp import local_dimension, radical, require_prime
@@ -121,11 +121,7 @@ def _linear_part_rows(L, gens):
     return rows
 
 
-@dataclass(frozen=True)
-class Regularity:
-    regular: bool
-    embedding_dimension: int
-    dimension: int
+Regularity = namedtuple("Regularity", "regular embedding_dimension dimension")
 
 
 def embedding_dimension(L):
@@ -205,11 +201,7 @@ def graded_piece(L, n):
     return prods, rows
 
 
-@dataclass(frozen=True)
-class Freeness:
-    free: bool
-    rank: int
-    witness: object = None
+Freeness = namedtuple("Freeness", "free rank witness", defaults=(None,))
 
 
 def is_free_at(L, n, prime=None):
@@ -241,12 +233,9 @@ def is_free_at(L, n, prime=None):
     return Freeness(True, r)
 
 
-@dataclass(frozen=True)
-class NormalFlatness:
-    flat: bool
-    length: int
-    first_bad: int = 0
-    witness: object = None
+NormalFlatness = namedtuple(
+    "NormalFlatness", "flat length first_bad witness", defaults=(0, None)
+)
 
 
 def is_normally_flat(L):

@@ -1,25 +1,52 @@
 """Monomial orders as sort keys on exponent tuples.
 
 Every order exposes `arity` and `key(exps)`; tuple comparison of keys agrees
-with the order (bigger key means bigger monomial).  Orders are frozen
-dataclasses so they can index Groebner basis caches.
+with the order (bigger key means bigger monomial).  Orders are immutable
+and compare by class and fields, so they can index Groebner basis caches.
 """
 
-from dataclasses import dataclass
 from operator import mul, neg
 
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class Lex:
+class _Order:
+    """Fields named by the subclass's `__slots__`.  Two orders are equal
+    when they are of one class with equal fields (named tuples of two
+    classes would compare equal); the hash, which every memo lookup reads,
+    is computed once."""
+
+    __slots__ = ("_key", "_hash")
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", fields)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
+        return f"{type(self).__name__}({args})"
+
+
+class Lex(_Order):
     """Lexicographic order; priority[0] is the most significant variable index."""
 
-    priority: tuple
+    __slots__ = ("priority",)
 
-    def __post_init__(self):
-        if sorted(self.priority) != list(range(len(self.priority))):
-            raise DimensionMismatch(f"priority is not a permutation: {self.priority}")
+    def __init__(self, priority):
+        if sorted(priority) != list(range(len(priority))):
+            raise DimensionMismatch(f"priority is not a permutation: {priority}")
+        super().__init__(priority)
 
     @property
     def arity(self):
@@ -29,29 +56,27 @@ class Lex:
         return tuple(e[i] for i in self.priority)
 
 
-@dataclass(frozen=True)
-class DegRevLex:
+class DegRevLex(_Order):
     """Total degree first, ties by smallest last exponent of the difference."""
 
-    arity: int
+    __slots__ = ("arity",)
 
     def key(self, e):
         return (sum(e), tuple(map(neg, reversed(e))))
 
 
-@dataclass(frozen=True)
-class WeightRefined:
+class WeightRefined(_Order):
     """Compare weight rows lexicographically (heavier first), ties decided by `tie`."""
 
-    rows: tuple
-    tie: object
+    __slots__ = ("rows", "tie")
 
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.tie.arity:
+    def __init__(self, rows, tie):
+        for r in rows:
+            if len(r) != tie.arity:
                 raise DimensionMismatch(
-                    f"weight row arity {len(r)} differs from order arity {self.tie.arity}"
+                    f"weight row arity {len(r)} differs from order arity {tie.arity}"
                 )
+        super().__init__(rows, tie)
 
     @property
     def arity(self):
@@ -61,8 +86,7 @@ class WeightRefined:
         return (tuple([sum(map(mul, r, e)) for r in self.rows]), self.tie.key(e))
 
 
-@dataclass(frozen=True)
-class PositionOverTerm:
+class PositionOverTerm(_Order):
     """Order on module elements sum f_k*e_k encoded as polynomials.
 
     The exponent tuple holds `tie.arity` ring variables followed by one tag
@@ -70,8 +94,7 @@ class PositionOverTerm:
     inside a position `tie` decides.
     """
 
-    tie: object
-    positions: int
+    __slots__ = ("tie", "positions")
 
     @property
     def arity(self):

@@ -22,7 +22,7 @@ descent included; a sub-run draws on a copy of what is left.  An empty pool
 raises ResourceLimit, which run_reduction reports as BudgetExceeded.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decomp import associated_primes, is_prime
 from .errors import (
@@ -57,20 +57,9 @@ UNIFORMIZED = "Uniformized"
 UNSUPPORTED = "Unsupported"
 BUDGET_EXCEEDED = "BudgetExceeded"
 
-@dataclass(frozen=True)
-class TraceStep:
-    label: str
-    blowup: object
-    report: dict
+TraceStep = namedtuple("TraceStep", "label blowup report")
 
-
-@dataclass
-class ReductionTrace:
-    steps: list
-    verdict: str
-    reason: str
-    final_ring: LocalRing
-    final_nu: object
+ReductionTrace = namedtuple("ReductionTrace", "steps verdict reason final_ring final_nu")
 
 
 class Run:

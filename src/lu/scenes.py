@@ -11,7 +11,6 @@ recorded blowups and comparing the charts.
 import json
 import os
 import re
-from importlib import resources
 
 from .errors import CertificationError, LuError, ResourceLimit, SceneError, UnsupportedInstance
 from .fields import GF, QQ, is_int
@@ -118,16 +117,15 @@ def load_scene(source):
             f"a scene is a path, a fixture name or a dict, not {type(source).__name__}"
         )
     if _FIXTURE.match(source):
-        ref = resources.files("lu").joinpath(f"fixtures/{source}.json")
-        if not ref.is_file():
+        path = os.path.join(os.path.dirname(__file__), "fixtures", source + ".json")
+        if not os.path.isfile(path):
             raise SceneError(f"no packaged fixture named {source}")
-        text = ref.read_text()
-    else:
-        try:
-            with open(source, "r") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise SceneError(f"cannot read scene: {e}") from None
+        source = path
+    try:
+        with open(source, "r") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SceneError(f"cannot read scene: {e}") from None
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
@@ -136,9 +134,9 @@ def load_scene(source):
 
 
 def _final_fact(trace, compute):
-    """A fact about the final chart, or None when a run that ended without
-    a Uniformized verdict stopped on a chart where the fact cannot be
-    certified."""
+    """A fact about the final chart (its bases too), or None when a run
+    that ended without a Uniformized verdict stopped on a chart where the
+    fact cannot be certified or computed within the budget."""
     try:
         return compute()
     except (UnsupportedInstance, CertificationError, ResourceLimit):
@@ -170,8 +168,8 @@ def trace_to_dict(trace):
     return {
         "steps": steps,
         "final": {
-            "ideal_gb": list(final.defining.canonical_strings()),
-            "center_gb": list(final.center.canonical_strings()),
+            "ideal_gb": _final_fact(trace, final.defining.canonical_strings),
+            "center_gb": _final_fact(trace, final.center.canonical_strings),
             "regular": regular,
             "normally_flat": flat,
             "N": _final_fact(trace, lambda: nilpotent_length(final)),

@@ -141,6 +141,24 @@ def test_run_prints_its_verdict_when_the_final_basis_is_over_budget(
     assert "verdict: BudgetExceeded (basis computation exceeded 2 reductions)" in out
 
 
+def test_a_run_out_of_basis_budget_still_writes_its_trace(tmp_path, monkeypatch, capsys):
+    def load_then_limit(source):
+        loaded = lu.scenes.load_scene(source)
+        ideals._cached_basis.cache_clear()
+        monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
+        return loaded
+
+    monkeypatch.setattr(lu.cli, "load_scene", load_then_limit)
+    trace_path = tmp_path / "trace.json"
+    assert main(["run", "F2", "--trace", str(trace_path)]) == 3
+    out, err = capsys.readouterr()
+    assert "verdict: BudgetExceeded (basis computation exceeded 2 reductions)" in out
+    assert err == "budget exceeded: basis computation exceeded 2 reductions\n"
+    data = json.loads(trace_path.read_text())
+    assert data["verdict"] == "BudgetExceeded"
+    assert (data["final"]["ideal_gb"], data["final"]["center_gb"]) == (None, None)
+
+
 def test_a_step_out_of_blowups_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(lu.pipeline, "BLOWUP_POOL", 0)
     assert main(["step1", "F1"]) == 3

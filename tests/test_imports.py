@@ -1,11 +1,13 @@
 """Every name a module of the package imports is used in that module; every
 function, class and public method has a caller in the package or is in
-`lu.__all__`, the documented API; and every name the benchmark reads from
-the package resolves."""
+`lu.__all__`, the documented API; every name the benchmark reads from the
+package resolves; and `import lu` loads no module the package does not use."""
 
 import ast
 import builtins
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import ModuleType
@@ -234,3 +236,21 @@ def test_every_name_the_benchmark_reads_resolves():
         except (AttributeError, ImportError):
             missing.append(dotted)
     assert missing == []
+
+
+# Modules that `import lu` used to load for records, fixtures or the command
+# line, and that each cost milliseconds of every process's start.
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "importlib.resources", "argparse")
+
+
+def test_import_lu_loads_none_of_the_modules_it_does_not_need():
+    # -S: no site module, so no .pth file preloads any of them
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lu; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent), *UNUSED_AT_IMPORT],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []

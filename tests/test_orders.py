@@ -1,6 +1,8 @@
 import pytest
 
+from lu import ideals
 from lu.errors import DimensionMismatch
+from lu.ideals import groebner_basis
 from lu.orders import (
     DegRevLex,
     Lex,
@@ -81,3 +83,35 @@ def test_position_over_term():
     x_e0, y9_e1, xy_e1, y2_e1 = (1, 0, 1, 0, 0), (0, 9, 0, 1, 0), (1, 1, 0, 1, 0), (0, 2, 0, 1, 0)
     assert [o.position(e) for e in (x_e0, y9_e1, (0, 0, 0, 0, 1))] == [0, 1, 2]
     assert o.key(x_e0) > o.key(y9_e1) > o.key(xy_e1) > o.key(y2_e1)
+
+
+def test_equal_orders_share_one_cached_basis():
+    R = ring("x", "y", "z")
+    gens = [parse_poly(R, "x*y - z^2"), parse_poly(R, "y^3 - x*z")]
+    a, b = DegRevLex(3), DegRevLex(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    first = groebner_basis(gens, a)
+    hits = ideals._cached_basis.cache_info().hits
+    assert groebner_basis(gens, b) is first
+    assert ideals._cached_basis.cache_info().hits == hits + 1
+
+
+def test_orders_of_different_classes_are_never_equal():
+    """Not even with equal fields, nor to the tuple of their fields."""
+    orders = [
+        Lex((0, 1)),
+        DegRevLex(2),
+        WeightRefined(((1, 1),), DegRevLex(2)),
+        PositionOverTerm(DegRevLex(2), 1),
+        PositionOverTerm(((1, 1),), DegRevLex(2)),
+    ]
+    for i, o in enumerate(orders):
+        assert [o == p for p in orders] == [j == i for j in range(len(orders))]
+    assert DegRevLex(2) != (2,) and Lex((0, 1)) != ((0, 1),)
+
+
+def test_an_order_cannot_be_changed():
+    o = DegRevLex(2)
+    with pytest.raises(AttributeError):
+        o.arity = 3
+    assert o == DegRevLex(2) and repr(o) == "DegRevLex(arity=2)"

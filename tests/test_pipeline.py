@@ -1,7 +1,6 @@
 """The three reduction steps and the driving loop."""
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 from conftest import CUSP_LINE_SCENE, NODE_SCENE, scene
@@ -11,6 +10,7 @@ from lu import ideals, localring, modules, pipeline
 from lu.blowup import transport_through_blowup, verify_center_isos
 from lu.errors import CertificationError, LuError, ResourceLimit, UnsupportedInstance
 from lu.ideals import Limits
+from lu.localring import Regularity
 from lu.pipeline import (
     Run,
     run_reduction,
@@ -212,7 +212,9 @@ def test_a_chart_step_three_made_is_rechecked_for_regularity(monkeypatch):
 
     def singular_chart(L):
         got = real(L)
-        return replace(got, regular=False) if "t" in L.ring.names else got
+        if "t" not in L.ring.names:
+            return got
+        return Regularity(False, got.embedding_dimension, got.dimension)
 
     monkeypatch.setattr(pipeline, "is_regular_local", singular_chart)
     trace = run_reduction(*load_scene("F2"))

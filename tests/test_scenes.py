@@ -11,8 +11,10 @@ import pytest
 from conftest import SQRT2_SCENE
 
 import lu.scenes
+from lu import ideals
 from lu.errors import DimensionMismatch, SceneError
 from lu.fields import QQ
+from lu.ideals import Limits
 from lu.pipeline import run_reduction
 from lu.scenes import (
     load_scene,
@@ -309,3 +311,25 @@ def test_a_uniformized_trace_reuses_the_final_verification(monkeypatch):
     monkeypatch.setattr(lu.scenes, "is_normally_flat", recomputed)
     final = json.loads(trace_to_json(trace))["final"]
     assert (final["regular"], final["normally_flat"]) == (True, True)
+
+
+def test_a_trace_out_of_basis_budget_serializes_its_bases_as_null(monkeypatch):
+    """The basis budget that ended the run also bars the final chart's
+    bases; they are written as null, like the facts, and replay counts
+    each missing basis as one mismatch."""
+    L, nu = load_scene("F2")
+    # an empty memo, so the bases are computed under the small budget
+    ideals._cached_basis.cache_clear()
+    monkeypatch.setattr(ideals, "BUDGET", Limits(reductions=2))
+    trace = run_reduction(L, nu)
+    assert trace.verdict == "BudgetExceeded"
+    text = trace_to_json(trace)
+    assert json.loads(text)["final"] == {
+        "ideal_gb": None, "center_gb": None, "regular": None,
+        "normally_flat": None, "N": None,
+    }
+    monkeypatch.setattr(ideals, "BUDGET", Limits())
+    assert replay_trace("F2", text) == [
+        "final: chart ideal ['y^2', 'x*y', 'u*y - v*x', 'x^2'] != None",
+        "final: center ['y', 'x', 'v', 'u'] != None",
+    ]
