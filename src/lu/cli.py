@@ -40,6 +40,11 @@ def _nonnegative(value, flag):
     return value
 
 
+def hexadecimal(text):
+    """`--seed`'s type; argparse names a bad value's type by this function's name."""
+    return int(text, 16)
+
+
 def _cmd_check(args):
     samples = _nonnegative(args.samples, "--samples")
     L, nu = load_scene(args.scene)
@@ -140,7 +145,7 @@ def _parser():
 
     sp = scene_cmd("check", _cmd_check, "certify a scene's valuation data")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=lambda s: int(s, 16), default=0xC0FFEE,
+    sp.add_argument("--seed", type=hexadecimal, default=0xC0FFEE,
                     help="hex seed for axiom sampling")
 
     for name, fn, help in (

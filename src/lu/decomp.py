@@ -13,7 +13,9 @@ witness, binomial lattice, principal univariate, zero dimensional.  Each
 class is a function `(I, gb) -> Primality | None`, None meaning it does not
 apply; the first prime or not-prime verdict wins, else the first unknown.
 Every not-prime verdict is built by `_witnessed`, and both factoring classes
-read one factor search, `_factor_witness`.  The zero dimensional class reads
+read one factor search, `_factor_witness`.  `lu.unifactor` (and with it
+`fractions`) is imported at the first factor search or squarefree part, so
+a run that needs neither never loads it.  The zero dimensional class reads
 minimal polynomials, each the generator of (I + (T - f)) ∩ k[T] by
 elimination in the one Groebner engine.
 
@@ -41,7 +43,6 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
-from . import unifactor
 from .errors import CertificationError, LuError, UnsupportedInstance
 from .ideals import MEMO_CAP, Ideal
 from .lattice import saturation_defect
@@ -235,6 +236,8 @@ def _factor_witness(I, ell, coeffs, failed):
     the witness (factor(ell), cofactor(ell)), or unknown with reason `failed`
     when that witness does not check.  A factor divides exactly: a rational
     root is checked by evaluation, a Kronecker factor by division."""
+    from . import unifactor
+
     try:
         factor = unifactor.factor_once(coeffs)
     except LuError as exc:
@@ -411,6 +414,8 @@ def _squarefree_coordinates(J):
         std = None
     if not std:
         return None
+    from . import unifactor
+
     out = []
     for nm in ring.names:
         mp = minimal_polynomial(J, ring.var(nm))

@@ -11,9 +11,16 @@ str(Fraction(3)), hash(3) == hash(Fraction(3))), so polynomials, memo keys
 and printed output do not depend on the representation.  Division of two
 ints goes through divmod and builds a Fraction only on a remainder, never
 through `/`, so no float appears.
+
+`fractions`, with `decimal` and `numbers` behind it, costs milliseconds of
+every start-up, and most runs never divide with a remainder.  So this
+module imports it at the first such division, and it is the one module
+that knows so (`lu.unifactor`, which computes in Fractions, is itself
+imported at the first factor search).  The Fraction type tests load
+nothing: no value is a Fraction before `fractions` is in `sys.modules`.
 """
 
-from fractions import Fraction
+import sys
 from functools import cache
 
 from .errors import LuError, ResourceLimit
@@ -48,6 +55,17 @@ def _is_prime_u31(p):
     return True
 
 
+def is_fraction(x):
+    """Whether x is a Fraction; loads nothing (see the module docstring)."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def is_rational(x):
+    """Whether x is an int or a Fraction, a constant a ring can coerce."""
+    return isinstance(x, int) or is_fraction(x)
+
+
 def _canonical(s):
     """The int for an integral value, the Fraction otherwise."""
     return s if s.__class__ is int or s.denominator != 1 else s.numerator
@@ -61,7 +79,7 @@ class Rationals:
     one = 1
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int) or is_fraction(x):
             return _canonical(x)
         raise LuError(f"cannot coerce {x!r} into the rationals")
 
@@ -80,13 +98,17 @@ class Rationals:
         return self.div(1, a)
 
     def div(self, a, b):
-        # int/int is the common case; isinstance(x, Fraction) goes through
-        # the numbers ABCs, so it runs only when the exact class test fails
+        # int/int is the common case; the Fraction test goes through the
+        # numbers ABCs, so it runs only when the exact class test fails
         if a.__class__ is not int or b.__class__ is not int:
-            if isinstance(a, Fraction) or isinstance(b, Fraction):
+            if is_fraction(a) or is_fraction(b):
                 return _canonical(a / b)
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        if not r:
+            return q
+        from fractions import Fraction
+
+        return Fraction(a, b)
 
     def sign_abs(self, a):
         """Split into (sign, magnitude) for printing."""
@@ -122,7 +144,7 @@ class PrimeField:
     def coerce(self, x):
         if isinstance(x, int):
             return x % self.p
-        if isinstance(x, Fraction):
+        if is_fraction(x):
             if x.denominator % self.p == 0:
                 raise LuError(
                     f"coefficient {x} has no value in GF({self.p}): "

@@ -68,9 +68,14 @@ biggest-first division: a set-aside monomial is charged the generator's
 size, 1, at the end of the call, when its coefficient is still nonzero, as
 plain division charges it when it comes up.  So a normal form against a
 basis of variables, the support of a valuation on F1 or F2, keys nothing.
+
+Both work queues, `buchberger`'s S-pairs and `normal_form`'s keyed
+monomials, are lists kept sorted with `bisect.insort` and popped from the
+end, where the next item sits.  Their keys never tie (a pair is queued
+once, a monomial until it is popped), so this pops in the order a heap
+would, and `import lu` does not load `heapq`.
 """
 
-import heapq
 from bisect import insort
 from collections import namedtuple
 from functools import lru_cache
@@ -301,7 +306,8 @@ def buchberger(gens, order):
     sugar = [g.degree() for g in G]
     rows = _reducer_rows(G, order)
     pending = set()
-    heap = []
+    # sorted by (-sugar, -lcm degree, -i, -j): the smallest pops from the end
+    queue = []
 
     def push_pair(i, j):
         if pos and pos[i] != pos[j]:
@@ -309,15 +315,16 @@ def buchberger(gens, order):
         l = mono_lcm(lead[i], lead[j])
         dl = mono_deg(l)
         s = max(sugar[i] + dl - ldeg[i], sugar[j] + dl - ldeg[j])
-        heapq.heappush(heap, (s, dl, i, j, l))
+        insort(queue, (-s, -dl, -i, -j, l))
         pending.add((i, j))
 
     for j in range(len(G)):
         for i in range(j):
             push_pair(i, j)
 
-    while heap:
-        s, dl, i, j, l = heapq.heappop(heap)
+    while queue:
+        s, dl, i, j, l = queue.pop()
+        s, dl, i, j = -s, -dl, -i, -j
         if (i, j) not in pending:
             continue
         pending.discard((i, j))

@@ -22,10 +22,10 @@ would multiply; a bigger one of either is a ResourceLimit.
 """
 
 import re
-from fractions import Fraction
 from math import comb
 
 from .errors import ExponentOverflow, PolySyntaxError, ResourceLimit, UnknownVariable
+from .fields import QQ
 from .poly import EXP_CAP
 
 MAX_DEPTH = 100
@@ -134,7 +134,7 @@ class _Parser:
                     raise PolySyntaxError("denominator must be an unsigned integer", p3)
                 if int(v3) == 0:
                     raise PolySyntaxError("denominator is zero", p3)
-                return self.ring.const(Fraction(int(val), int(v3)))
+                return self.ring.const(QQ.div(int(val), int(v3)))
             return self.ring.const(int(val))
         if kind == "name":
             if val not in self.ring.index:

@@ -7,10 +7,10 @@ that share variable names.  Blowup data must already be polynomials of the
 source ring.
 """
 
-from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import DimensionMismatch, ExponentOverflow, LuError
+from .fields import is_rational
 from .orders import DegRevLex, canonical_order
 
 EXP_CAP = 1 << 16
@@ -145,7 +145,7 @@ class Polynomial:
             if other.ring != self.ring:
                 raise LuError(f"mixed rings: {self.ring!r} and {other.ring!r}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return self.ring.const(other)
         return NotImplemented
 
@@ -250,13 +250,11 @@ class Polynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            if not is_rational(other):
+                return False
             other = self.ring.const(other)
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))

@@ -30,7 +30,6 @@ table sum over the product's terms, multiplied out as exponent ->
 coefficient pairs: NF(f * g) = sum c_a c_b NF(x^(a + b)).
 """
 
-import random
 from functools import cache
 from operator import add, mul
 
@@ -415,6 +414,10 @@ def axiom_violations(nu, count=200, seed=0xC0FFEE):
     F = ring.field
     fadd, fmul, zero = F.add, F.mul, F.zero
     nf, least = nu._normal_form_terms, nu._least_weight
+    # imported here, not with the module: only sampling needs it, and
+    # `import lu` is paid by every run
+    import random
+
     rng = random.Random(seed)
     bad = []
     for _ in range(count):

@@ -173,6 +173,7 @@ def test_a_step_out_of_blowups_exits_3(monkeypatch, capsys):
         (["run", "F1", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
         ([], "the following arguments are required: command"),
         (["run", "F1", "--oracle", "toric"], "unrecognized arguments: --oracle toric"),
+        (["check", "F1", "--seed", "xyz"], "argument --seed: invalid hexadecimal value: 'xyz'"),
     ],
 )
 def test_a_usage_error_exits_1_with_its_message(argv, message, capsys):

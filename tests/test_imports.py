@@ -238,9 +238,16 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
-# Modules that `import lu` used to load for records, fixtures or the command
-# line, and that each cost milliseconds of every process's start.
-UNUSED_AT_IMPORT = ("dataclasses", "inspect", "importlib.resources", "argparse")
+# Modules that `import lu` does not load, each a millisecond or more of every
+# process's start: the first four it never needs (records, fixtures and the
+# command line do without them), the rest come on first use: `fractions`
+# (with `decimal` and `numbers`) at the first division with a remainder,
+# `random` at the first axiom sample, `lu.unifactor` at the first factor
+# search; `heapq` not at all, since both work queues are sorted lists.
+UNUSED_AT_IMPORT = (
+    "dataclasses", "inspect", "importlib.resources", "argparse",
+    "fractions", "decimal", "numbers", "random", "heapq", "lu.unifactor",
+)
 
 
 def test_import_lu_loads_none_of_the_modules_it_does_not_need():
@@ -254,3 +261,37 @@ def test_import_lu_loads_none_of_the_modules_it_does_not_need():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.split() == []
+
+
+def test_fractions_comes_with_the_first_fraction():
+    # one fresh -S interpreter, so nothing but lu can have loaded fractions
+    code = """if True:
+        import sys; sys.path.insert(0, sys.argv[1])
+        import lu
+        from lu.fields import GF
+        from lu.poly import PolyRing
+        before = "fractions" in sys.modules
+        L, nu = lu.load_scene({
+            "field": "Q", "vars": ["x", "y"], "ideal": ["2*y - x"],
+            "localize_at": ["x", "y"],
+            "valuation": {"support": ["2*y - x"], "rank": 1,
+                          "weights": {"x": [1], "y": [1]}},
+        })
+        verdict = lu.run_reduction(L, nu).verdict
+        print(before, verdict, L.defining.canonical_strings(), "fractions" in sys.modules)
+        R = PolyRing(GF(7), ["x"])
+        print(lu.parse_poly(R, "1/2*x").text())
+        try:
+            lu.parse_poly(R, "1/7*x")
+        except lu.LuError as e:
+            print(e)
+    """
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "False Uniformized ['y - 1/2*x'] True",
+        "4*x",
+        "coefficient 1/7 has no value in GF(7): its denominator is divisible by p = 7",
+    ]
