@@ -8,9 +8,10 @@ compositions are checked by mutual kernel containment under the variable
 identification, and lifted blowups must reproduce the chart they were found
 on.
 
-Blowup data must be polynomials of the source ring; anything else is a
-LuError.  Text is parsed only at the boundaries (scenes, the command line,
-traces), and polynomials reach a chart ring through `Polynomial.to_ring`.
+Blowup data must be polynomials of the source ring (`PolyRing.own`);
+anything else is a LuError.  Text is parsed only at the boundaries (scenes,
+the command line, traces), and polynomials reach a chart ring through
+`Polynomial.to_ring`.
 """
 
 from collections import namedtuple
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .ideals import Ideal
 from .localring import LocalRing
-from .poly import Polynomial
 from .valuations import WeightValuation
 
 _SINGLE = ("t", "s", "w", "z")
@@ -48,13 +48,6 @@ def _chart_names(taken, k):
     raise LuError("no free chart variable names left")
 
 
-def _source_poly(ring, f):
-    """f itself, which must be a polynomial of the source ring."""
-    if not isinstance(f, Polynomial) or f.ring != ring:
-        raise LuError(f"blowup data {f!r} is not a polynomial of {ring!r}")
-    return f
-
-
 class LocalBlowup(
     namedtuple("LocalBlowup", "source chart b a_list t_names stabilization_N")
 ):
@@ -74,8 +67,8 @@ def local_blowup(L, b, a_list, nu=None):
     only once J : b == J.
     """
     ring = L.ring
-    b = _source_poly(ring, b)
-    a_list = tuple(_source_poly(ring, a) for a in a_list)
+    b = ring.own(b, "blowup data ")
+    a_list = tuple(ring.own(a, "blowup data ") for a in a_list)
     if b.is_zero():
         raise LuError("cannot divide a chart by zero")
     if a_list:
@@ -259,9 +252,8 @@ def lift_from_localization(L, nu, b, a_list):
     swap is legal exactly when the first row cannot see it, and the old
     chart relations are re-verified in the new chart.
     """
-    ring = L.ring
-    b = _source_poly(ring, b)
-    a_list = [_source_poly(ring, a) for a in a_list]
+    b = L.ring.own(b, "blowup data ")
+    a_list = [L.ring.own(a, "blowup data ") for a in a_list]
     cands = [b] + a_list
     vals = [nu.value_of(c) for c in cands]
     k = 0
@@ -303,9 +295,8 @@ def lift_from_quotient(L, nu, p1, b, a_list):
     p1, and the transformed p1 contracts back to p1; local_blowup checks
     the full value inequalities.
     """
-    ring = L.ring
-    b = _source_poly(ring, b)
-    a_list = [_source_poly(ring, a) for a in a_list]
+    b = L.ring.own(b, "blowup data ")
+    a_list = [L.ring.own(a, "blowup data ") for a in a_list]
     if p1.normal_form(b).is_zero():
         raise SupportDivision(f"{b.text()} vanishes on the quotient")
     B = local_blowup(L, b, a_list, nu=nu)

@@ -19,6 +19,10 @@ a run that needs neither never loads it.  The zero dimensional class reads
 minimal polynomials, each the generator of (I + (T - f)) ∩ k[T] by
 elimination in the one Groebner engine.
 
+This module owns the shape of a basis of variables: `is_variable_gb` is
+the one test, read also by `lu.valuations`' support classes and by
+`lu.localring`'s cotangent rows.
+
 `radical` certifies its result by the same kind of classes; a zero
 dimensional ideal whose variables have squarefree minimal polynomials is
 radical in characteristic zero (Seidenberg's lemma).
@@ -73,7 +77,8 @@ def _is_monomial_gb(gb):
     return all(len(g.terms) == 1 for g in gb)
 
 
-def _is_variable_gb(gb):
+def is_variable_gb(gb):
+    """Whether each element of the reduced (so monic) basis gb is a variable."""
     return all(len(g.terms) == 1 and _is_variable_exps(next(iter(g.terms))) for g in gb)
 
 
@@ -344,7 +349,7 @@ def is_prime(I):
     if I.is_unit_ideal():
         return Primality(NOT_PRIME, reason="unit ideal")
     gb = I.groebner()
-    if _is_variable_gb(gb) or _graph_class(I):
+    if is_variable_gb(gb) or _graph_class(I):
         return Primality(PRIME)
     unknown = None
     for cls in _CLASSES:
@@ -501,7 +506,7 @@ def _monomial_associated_primes(I):
         if Q.is_unit_ideal():
             continue
         qgb = Q.groebner()
-        if _is_variable_gb(qgb):
+        if is_variable_gb(qgb):
             out[Q.groebner()] = Q
     return sorted(out.values(), key=lambda q: [g.text() for g in q.canonical_gb()])
 

@@ -22,6 +22,7 @@ nothing: no value is a Fraction before `fractions` is in `sys.modules`.
 
 import sys
 from functools import cache
+from math import isqrt
 
 from .errors import LuError, ResourceLimit
 
@@ -29,30 +30,6 @@ from .errors import LuError, ResourceLimit
 def is_int(v):
     """An int and not a bool: JSON's `true` and `false`, which Python counts as ints."""
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_prime_u31(p):
-    # deterministic Miller-Rabin; bases 2,3,5,7 decide primality below 3.2e9
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def is_fraction(x):
@@ -134,7 +111,9 @@ class PrimeField:
     """Integers mod p for a prime p below 2**31; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        if not isinstance(p, int) or not 2 <= p < 2**31 or not _is_prime_u31(p):
+        # trial division, at most 46339 steps below 2**31; GF builds a field once
+        word = isinstance(p, int) and 2 <= p < 2**31
+        if not word or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise LuError(f"modulus must be a prime below 2**31, got {p!r}")
         self.p = p
         self.char = p

@@ -325,8 +325,6 @@ def buchberger(gens, order):
     while queue:
         s, dl, i, j, l = queue.pop()
         s, dl, i, j = -s, -dl, -i, -j
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         if dl == ldeg[i] + ldeg[j]:
             continue  # coprime leading terms reduce to zero
@@ -377,9 +375,7 @@ class Ideal:
         self.ring = ring
         cleaned = []
         for g in gens:
-            if not isinstance(g, Polynomial) or g.ring != ring:
-                raise LuError(f"generator {g!r} is not a polynomial of {ring!r}")
-            if not g.is_zero():
+            if not ring.own(g, "generator ").is_zero():
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self._gb = {}
@@ -405,12 +401,9 @@ class Ideal:
         return [g.text() for g in self.canonical_gb()]
 
     def normal_form(self, f, order=None):
-        # contains and colon land here too; another ring's exponents would be
-        # read against this ring's variables and give a wrong answer
-        ring = self.ring
-        if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
-            raise LuError(f"{f!r} is not a polynomial of {ring!r}")
-        order = order or ring.degrevlex
+        # contains and colon land here too
+        self.ring.own(f)
+        order = order or self.ring.degrevlex
         entry = self._entry(order)
         if entry[1] is None:
             entry[1] = _reducer_rows(entry[0], order)
@@ -600,9 +593,7 @@ def _peel(I, f):
     generators moved to k[x'] (Greuel & Pfister, ch. 1-2, Singular's
     `elimpart`).  With nothing to solve, returns ([], I, f).
     """
-    # f's exponents are read against I's variables, as in Ideal.normal_form
-    if not isinstance(f, Polynomial) or f.ring != I.ring:
-        raise LuError(f"{f!r} is not a polynomial of {I.ring!r}")
+    I.ring.own(f)
     gens = list(I.gens)
     peeled, solved = [], []
     while True:

@@ -18,7 +18,7 @@ relation module of the center's basis (`cotangent_presentation`).
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from .decomp import local_dimension, radical, require_prime
+from .decomp import is_variable_gb, local_dimension, radical, require_prime
 from .errors import CertificationError, UnsupportedInstance
 from .ideals import Ideal
 from .modules import eliminate_at_prime, rank_mod_prime, reduce_entries, relation_module
@@ -99,13 +99,10 @@ def cotangent_presentation(L):
 def _linear_part_rows(L, gens):
     """The linear-part rows, or None when a center generator is not a
     variable or a defining term has degree zero in the center variables."""
+    if not is_variable_gb(gens):
+        return None
     ring = L.ring
-    cols = []
-    for g in gens:
-        e, c = next(iter(g.terms.items()))
-        if len(g.terms) != 1 or c != ring.field.one or sum(e) != 1:
-            return None
-        cols.append(e.index(1))
+    cols = [next(iter(g.terms)).index(1) for g in gens]
     rows = []
     for f in L.defining.gens:
         row = [{} for _ in cols]

@@ -337,7 +337,8 @@ def toric_uniformizer(L, nu):
     """Rank one oracle for zero, monomial, and weight homogeneous binomial
     prime presentations: the next blowup of the Euclidean descent on variable
     values, which divides the positive variable of least value into the next
-    one."""
+    one.  Two least values that tie are refused: their quotient would have
+    value 0 at a center it generates."""
     if nu.rank != 1:
         raise UnsupportedInstance("the descent oracle needs a rank one valuation")
     gb = L.defining.canonical_gb()
@@ -346,11 +347,10 @@ def toric_uniformizer(L, nu):
             raise UnsupportedInstance(
                 "descent handles zero, monomial, or binomial presentations"
             )
-        for g in gb:
-            if len({nu.weight_of_exps(e) for e in g.terms}) != 1:
-                raise UnsupportedInstance(
-                    "binomial presentation is not weight homogeneous"
-                )
+        if not all(map(nu.is_homogeneous, gb)):
+            raise UnsupportedInstance(
+                "binomial presentation is not weight homogeneous"
+            )
         if not is_prime(L.defining).is_prime:
             raise UnsupportedInstance("binomial presentation is not prime")
     ring = L.ring
@@ -363,6 +363,11 @@ def toric_uniformizer(L, nu):
     b = ring.var(ring.names[finite[0][1]])
     if len(finite) >= 2:
         a = ring.var(ring.names[finite[1][1]])
+        if finite[1][0] == finite[0][0]:
+            raise UnsupportedInstance(
+                f"descent pair {b.text()}, {a.text()} share the value "
+                f"{finite[0][0].text()}"
+            )
     else:
         infinite = [
             nm for nm, v in zip(ring.names, values)

@@ -3,8 +3,12 @@
 A polynomial enters a ring through the parser (at the boundaries: scenes,
 the command line, traces), the ring's constructors (`var`, `const`,
 `monomial`), arithmetic, or `Polynomial.to_ring`, the one map between rings
-that share variable names.  Blowup data must already be polynomials of the
-source ring.
+that share variable names.
+
+This module owns ring membership: `PolyRing.own`, the one test and the
+one LuError, guards ideal generators, what an ideal divides, what a
+valuation reads and blowup data, whose exponents would otherwise be read
+against another ring's variables.
 """
 
 from operator import add, le, sub
@@ -121,6 +125,12 @@ class PolyRing:
     def drop(self, names):
         gone = set(names)
         return PolyRing(self.field, tuple(nm for nm in self.names if nm not in gone))
+
+    def own(self, f, what=""):
+        """f, if a polynomial of this ring; else a LuError naming it after `what`."""
+        if isinstance(f, Polynomial) and (f.ring is self or f.ring == self):
+            return f
+        raise LuError(f"{what}{f!r} is not a polynomial of {self!r}")
 
 
 class Polynomial:

@@ -33,7 +33,7 @@ coefficient pairs: NF(f * g) = sum c_a c_b NF(x^(a + b)).
 from functools import cache
 from operator import add, mul
 
-from .decomp import NOT_PRIME, is_prime, minimal_primes
+from .decomp import NOT_PRIME, is_prime, is_variable_gb, minimal_primes
 from .errors import (
     CertificationError,
     InitialIdealNotPrime,
@@ -169,6 +169,10 @@ class WeightValuation:
     def weight_of_exps(self, e):
         return tuple(sum(map(mul, r, e)) for r in self.rows)
 
+    def is_homogeneous(self, g):
+        """Whether every term of the nonzero polynomial g has one weight vector."""
+        return len({self.weight_of_exps(e) for e in g.terms}) == 1
+
     def value_of(self, f):
         """The least weight vector among the monomials of f's normal form.
 
@@ -180,11 +184,8 @@ class WeightValuation:
         monomial passed in, and no further.  Coefficients that cancel in the
         sum are skipped, and an empty sum is the infinite value.
         """
-        ring = self.ring
-        # a table hit skips Ideal.normal_form, so its guard is repeated here:
-        # another ring's exponents would be read against this ring's weights
-        if not isinstance(f, Polynomial) or (f.ring is not ring and f.ring != ring):
-            raise LuError(f"{f!r} is not a polynomial of {ring!r}")
+        # a table hit skips Ideal.normal_form, so its guard is asked here
+        self.ring.own(f)
         w = self._least_weight(self._normal_form_terms(f.terms))
         return Value(None) if w is None else Value._of(w)
 
@@ -233,15 +234,9 @@ def support_class(nu):
     gb = nu.support.canonical_gb()
     if not gb:
         return "zero"
-    if all(len(g.terms) == 1 and sum(next(iter(g.terms))) == 1 for g in gb):
+    if is_variable_gb(gb):
         return "variables"
-    homogeneous = True
-    for g in gb:
-        weights = {nu.weight_of_exps(e) for e in g.terms}
-        if len(weights) != 1:
-            homogeneous = False
-            break
-    if homogeneous:
+    if all(map(nu.is_homogeneous, gb)):
         return "weight-homogeneous"
     return None
 
@@ -260,6 +255,11 @@ def certify(nu, defining, center):
 
     Returns the admitting support class.  Raises InitialIdealNotPrime,
     NotMinimalPrime, NotCentered, or UnsupportedInstance.
+
+    A variable the support contains may have a negative weight column: its
+    value is infinite, and every monomial that holds it reduces to 0 (the
+    support's reduced basis holds the variable itself), so the weight order
+    stays usable and the column is never read.
     """
     if not nu.support.contains_ideal(defining):
         raise CertificationError("support does not contain the defining ideal")
@@ -287,16 +287,16 @@ def certify(nu, defining, center):
             "support is not a minimal prime of the defining ideal",
             f"candidates: {[q.canonical_strings() for q in mins]}",
         )
-    for nm in nu.ring.names:
+    ring = nu.ring
+    for nm in ring.names:
         col = nu.column(nm)
-        if col < (0,) * nu.rank:
+        if col < (0,) * nu.rank and not nu.support.contains(ring.var(nm)):
             raise NotCentered(f"variable {nm} has negative weight column {col}")
     for g in center.canonical_gb():
         if not nu.value_of(g).is_positive:
             raise NotCentered(
                 f"center generator {g.text()} has value {nu.value_of(g).text()}"
             )
-    ring = nu.ring
     samples = [ring.one()]
     samples += [ring.one() + g for g in center.gens[:6]]
     for nm in ring.names:
@@ -304,8 +304,6 @@ def certify(nu, defining, center):
         if not center.contains(v):
             samples.append(v)
     for f in samples:
-        if center.contains(f):
-            continue
         v = nu.value_of(f)
         if not v.is_zero:
             raise NotCentered(

@@ -156,10 +156,17 @@ def test_refuses_generators_outside_the_center():
 def test_blowup_data_must_be_polynomials_of_the_source_ring():
     plane = _plane()
     R = plane.ring
-    for b, a_list in (("x", ["y"]), (R.var("x"), ["y"]), (1, []),
-                      (ring("x", "y", "z").var("x"), [R.var("y")])):
-        with pytest.raises(LuError, match="not a polynomial of"):
-            local_blowup(plane, b, a_list)
+    nu = WeightValuation(R, Ideal(R, []), ((1, 1),))
+    lifts = (
+        local_blowup,
+        lambda L, b, a_list: lift_from_localization(L, nu, b, a_list),
+        lambda L, b, a_list: lift_from_quotient(L, nu, Ideal(R, []), b, a_list),
+    )
+    for blowup in lifts:
+        for b, a_list in (("x", ["y"]), (R.var("x"), ["y"]), (1, []),
+                          (ring("x", "y", "z").var("x"), [R.var("y")])):
+            with pytest.raises(LuError, match="^blowup data .* is not a polynomial of"):
+                blowup(plane, b, a_list)
 
 
 def test_compose_two_point_blowups():

@@ -78,17 +78,19 @@ def test_gf_inverse_of_zero():
         GF(5).inv(0)
 
 
-@pytest.mark.parametrize("p", [1, 4, 9, 561, 2**31])
+@pytest.mark.parametrize("p", [1, 4, 9, 561, 46337**2, 2**31])
 def test_gf_rejects_non_primes_and_large_moduli(p):
-    # 561 is a Carmichael number; the primality check must not be Fermat-only
+    # 561 is a Carmichael number; the primality check must not be Fermat-only;
+    # 46337**2's one prime factor is the last divisor trial division tries
     with pytest.raises(LuError):
         GF(p)
 
 
 def test_gf_large_prime_accepted():
-    F = GF(2**31 - 1)
-    x = F.coerce(2**30)
-    assert F.mul(x, F.inv(x)) == 1
+    for p in (2, 3, 2147483629, 2**31 - 1):
+        F = GF(p)
+        x = F.coerce(2**30 + 1)
+        assert F.mul(x, F.inv(x)) == 1
 
 
 def test_fields_compare_by_value():

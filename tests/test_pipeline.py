@@ -143,6 +143,18 @@ def test_toric_uniformizer_skips_a_regular_point():
     assert trace.steps == []
 
 
+def test_toric_uniformizer_refuses_a_pair_of_equal_values():
+    """x and y of value 1 would give the chart variable y/x value 0 at a
+    center it generates; the oracle refuses the pair itself."""
+    local, nu = scene(
+        ["x", "y", "z"], ["z^2 - x*y"], ["x", "y", "z"], ["z^2 - x*y"],
+        {"x": (1,), "y": (1,), "z": (1,)}, 1,
+    )
+    trace = run_reduction(local, nu)
+    assert (trace.verdict, trace.steps) == ("Unsupported", [])
+    assert trace.reason == "descent pair x, y share the value (1)"
+
+
 def _cusp_2_5():
     return scene(
         ["x", "y"], ["y^2 - x^5"], ["x", "y"], ["y^2 - x^5"],
@@ -417,3 +429,33 @@ def test_the_regularize_step_lifts_each_sub_run_blowup(source, sources, digest):
     for s in trace.steps:
         assert verify_center_isos(s.blowup, nu).ok
         nu = transport_through_blowup(nu, s.blowup)
+
+
+@pytest.mark.parametrize(
+    "gen,weights,lifts",
+    [
+        ("z^2 - x*y", {"x": [3, 1], "y": [1, 3], "z": [2, 2], "w": [2, 2]}, 1),
+        (
+            "z^2 - x^3*y",
+            {"x": [0, 2, 0], "z": [0, 3, 1], "y": [0, 0, 2], "w": [1, 0, 0]},
+            2,
+        ),
+    ],
+    ids=["rank-2", "rank-3"],
+)
+def test_a_sub_run_may_give_a_variable_of_its_support_a_negative_column(
+    gen, weights, lifts
+):
+    """The quotient sub-run's support holds a chart variable whose column
+    is negative there; its value is infinite, so certify does not refuse."""
+    source = {
+        "field": "Q", "vars": ["x", "y", "z", "w"], "ideal": [gen],
+        "localize_at": ["x", "y", "z", "w"],
+        "valuation": {
+            "support": [gen], "rank": len(weights["x"]), "weights": weights,
+        },
+    }
+    trace = run_reduction(*load_scene(source))
+    assert (trace.verdict, trace.reason) == ("Uniformized", "")
+    assert [s.label for s in trace.steps] == ["regularize"] * lifts
+    assert replay_trace(source, trace_to_json(trace)) == []
