@@ -272,14 +272,11 @@ def lift_from_localization(L, nu, b, a_list):
     J = B.chart.defining
     t0 = S.var(B.t_names[0])
     bS = b.to_ring(S)
-    pos = {}
-    for i in range(len(cands)):
-        if i != k:
-            pos[i] = len(pos)
     for i in range(1, len(cands)):
         if i == k:
             continue
-        w = bS * S.var(B.t_names[pos[i]]) - cands[i].to_ring(S) * t0
+        # a_new drops cands[k], so cands[i] has chart variable t_names[i - (i > k)]
+        w = bS * S.var(B.t_names[i - (i > k)]) - cands[i].to_ring(S) * t0
         if not J.contains(w):
             raise IsomorphismCheckFailed(
                 f"relation {w.text()} fails after the denominator swap"

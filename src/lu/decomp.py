@@ -8,20 +8,23 @@ a zero divisor witness that is re-verified by normal forms, and everything
 else is "unknown" so that callers can refuse the instance instead of lying.
 
 `is_prime` answers the unit ideal (not prime) and the zero, variable and
-graph classes (prime) first, then walks one cascade, `_CLASSES`: monomial
-witness, binomial lattice, principal univariate, zero dimensional.  Each
-class is a function `(I, gb) -> Primality | None`, None meaning it does not
-apply; the first prime or not-prime verdict wins, else the first unknown.
-Every not-prime verdict is built by `_witnessed`, and both factoring classes
-read one factor search, `_factor_witness`.  `lu.unifactor` (and with it
-`fractions`) is imported at the first factor search or squarefree part, so
-a run that needs neither never loads it.  The zero dimensional class reads
+graph classes (prime) first; a graph ideal's reduced basis is x_i - f_i
+with f_i free of every leading variable x_i, so R/I is a polynomial ring.
+Then it walks one cascade, `_CLASSES`: monomial witness, binomial lattice,
+principal univariate, zero dimensional.  Each class is a function
+`(I, gb) -> Primality | None`, None meaning it does not apply; the first
+prime or not-prime verdict wins, else the first unknown.  Every not-prime
+verdict is built by `_witnessed`, and both factoring classes read one
+factor search, `_factor_witness`.  `lu.unifactor` (and with it `fractions`)
+is imported at the first factor search or squarefree part, so a run that
+needs neither never loads it.  The zero dimensional class reads
 minimal polynomials, each the generator of (I + (T - f)) ∩ k[T] by
 elimination in the one Groebner engine.
 
 This module owns the shape of a basis of variables: `is_variable_gb` is
 the one test, read also by `lu.valuations`' support classes and by
-`lu.localring`'s cotangent rows.
+`lu.localring`'s cotangent rows.  It owns the text of a refutation too:
+`Primality.evidence`, read by `require_prime` and `lu.valuations.certify`.
 
 `radical` certifies its result by the same kind of classes; a zero
 dimensional ideal whose variables have squarefree minimal polynomials is
@@ -68,6 +71,13 @@ class Primality(namedtuple("Primality", "verdict witness reason", defaults=(None
     def is_prime(self):
         return self.verdict == PRIME
 
+    def evidence(self):
+        """`witness (g)*(h)`, or the reason when there is no witness."""
+        if self.witness:
+            g, h = self.witness
+            return f"witness ({g.text()})*({h.text()})"
+        return self.reason
+
 
 def _is_variable_exps(e):
     return sum(e) == 1
@@ -96,27 +106,12 @@ def _pure_difference(g):
 
 
 def _graph_class(I):
-    """Sections x_i = f_i(other variables): quotient is a polynomial ring."""
-    gb = I.canonical_gb()
-    if not gb:
-        return False
-    leads = []
-    for g in gb:
-        e, c = g.leading()
-        if not _is_variable_exps(e):
-            return False
-        leads.append(e.index(1))
-    leadset = set(leads)
-    if len(leadset) != len(leads):
-        return False
-    for g in gb:
-        e0, _ = g.leading()
-        for e in g.terms:
-            if e == e0:
-                continue
-            if any(e[i] for i in leadset):
-                return False
-    return True
+    """Sections x_i = f_i(other variables), so R/I is a polynomial ring:
+    every leading monomial of the canonical reduced basis is a variable.
+    Reducedness does the rest: the leads are distinct, no term is divisible
+    by another element's lead, and a term divisible by its own lead x_i would
+    exceed x_i.  The zero ideal, prime too, goes to `is_variable_gb` first."""
+    return all(_is_variable_exps(g.leading()[0]) for g in I.canonical_gb())
 
 
 def _witnessed(I, g, h):
@@ -180,14 +175,12 @@ def _binomial_class(I, gb):
     B = Ideal(sub, sub_binoms)
     hit = _zero_divisor_variable(B, sub.names)
     if hit:
-        # a variable is a zero divisor, exhibit the product that dies
+        # x*g lies in B, g outside it; x is not in B, whose elements vanish
+        # where every variable is 1, and I meets k[sub] in B, so (x, g) is a
+        # witness, which `_witnessed` still checks
         nm, c = hit
-        for g in c.groebner():
-            if not B.contains(g):
-                got = _witnessed(I, ring.var(nm), g.to_ring(ring))
-                if got:
-                    return got
-        return Primality(UNKNOWN, reason="variable zero divisor without witness")
+        g = next(g for g in c.groebner() if not B.contains(g))
+        return _witnessed(I, ring.var(nm), g.to_ring(ring))
     defect = saturation_defect(rows, sub.n)
     if defect is None:
         return Primality(PRIME)
@@ -205,7 +198,9 @@ def _binomial_class(I, gb):
 
 
 def _univariate_of(g):
-    """(variable index, dense coefficients) for a one-variable g."""
+    """(variable index, dense coefficients) for a one-variable g, None for
+    one in more variables.  g is not constant: `is_prime` answers the unit
+    ideal first, and a minimal polynomial has degree at least 1."""
     idx = None
     for e in g.terms:
         for i, x in enumerate(e):
@@ -214,8 +209,6 @@ def _univariate_of(g):
                     idx = i
                 elif idx != i:
                     return None
-    if idx is None:
-        return None
     coeffs = [g.ring.field.zero] * (g.degree() + 1)
     for e, c in g.terms.items():
         coeffs[e[idx]] = c
@@ -365,10 +358,7 @@ def require_prime(I, what):
     if verdict.is_prime:
         return
     if verdict.verdict == NOT_PRIME:
-        w = ""
-        if verdict.witness:
-            w = f"witness ({verdict.witness[0].text()})*({verdict.witness[1].text()})"
-        raise CertificationError(f"{what} is not prime", w or verdict.reason)
+        raise CertificationError(f"{what} is not prime", verdict.evidence())
     raise UnsupportedInstance(f"cannot certify {what} prime: {verdict.reason}")
 
 

@@ -68,9 +68,6 @@ class LocalRing:
     def dimension(self):
         return local_dimension(self.defining, self.center)
 
-    def center_basis(self):
-        return list(self.center.canonical_gb())
-
 
 def cotangent_presentation(L):
     """Generators of center/(center^2 + defining) and rows whose classes
@@ -88,7 +85,7 @@ def cotangent_presentation(L):
     basis modulo center^2 + defining.  Callers read the rows only through
     `eliminate_at_prime` at the center, where both give one row space.
     """
-    gens = L.center_basis()
+    gens = list(L.center.canonical_gb())
     rows = _linear_part_rows(L, gens)
     if rows is None:
         modulus = L.center.power(2) + L.defining
@@ -123,8 +120,6 @@ Regularity = namedtuple("Regularity", "regular embedding_dimension dimension")
 
 def embedding_dimension(L):
     gens, rels = cotangent_presentation(L)
-    if not gens:
-        return 0
     return len(gens) - rank_mod_prime(rels, L.center)
 
 
@@ -157,8 +152,6 @@ def nilradical_min_gens(L):
     candidate kept stays irredundant.
     """
     N = L.nilradical()
-    if N == L.defining:
-        return []
     cands = list(N.canonical_gb())
     mN = L.center.multiply(N)
     for i in range(len(cands) - 1, -1, -1):
@@ -177,8 +170,6 @@ def graded_piece(L, n):
     """
     N = L.nilradical()
     base = nilradical_min_gens(L)
-    if not base:
-        return [], []
     modulus = N.power(n + 1) + L.defining
     prods = []
     for combo in combinations_with_replacement(base, n):
@@ -187,8 +178,6 @@ def graded_piece(L, n):
             p = p * f
         if not modulus.contains(p):
             prods.append(p)
-    if not prods:
-        return [], []
     rels = relation_module(prods, modulus)
     rows = []
     for r in rels:
@@ -215,8 +204,6 @@ def is_free_at(L, n, prime=None):
     prime = prime or L.center
     gens, rows = graded_piece(L, n)
     s = len(gens)
-    if s == 0 or not rows:
-        return Freeness(True, s)
     N = L.nilradical()
     pivots, residual = eliminate_at_prime(rows, prime, N)
     r = s - len(pivots)

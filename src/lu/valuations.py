@@ -49,7 +49,7 @@ from .poly import Polynomial
 
 
 class Value:
-    """Element of Z^k ordered lexicographically, or infinity."""
+    """Element of Z^k ordered lexicographically by `<` alone, or infinity."""
 
     __slots__ = ("vec",)
 
@@ -85,15 +85,6 @@ class Value:
         if len(self.vec) != len(other.vec):
             raise LuError("comparing values of different rank")
         return self.vec < other.vec
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __add__(self, other):
         if self.is_infinite or other.is_infinite:
@@ -273,11 +264,8 @@ def certify(nu, defining, center):
         )
     verdict = is_prime(nu.support)
     if verdict.verdict == NOT_PRIME:
-        w = ""
-        if verdict.witness:
-            w = f"({verdict.witness[0].text()}) * ({verdict.witness[1].text()})"
         raise InitialIdealNotPrime(
-            "weight graded ring has zero divisors", w or verdict.reason
+            "weight graded ring has zero divisors", verdict.evidence()
         )
     if not verdict.is_prime:
         raise UnsupportedInstance(f"support primality undecided: {verdict.reason}")

@@ -219,6 +219,18 @@ def test_localization_lift_swaps_the_denominator():
     assert [a.text() for a in B.a_list] == ["y"]
 
 
+def test_localization_lift_swaps_the_denominator_past_two_numerators():
+    """y is least, so it becomes the denominator; x and z keep their order,
+    and the old relations x*t_i - a_i*t0 are rechecked in the new chart."""
+    R = ring("x", "y", "z")
+    space = LocalRing(R, Ideal(R, []), ideal(R, "x", "y", "z"))
+    nu = WeightValuation(R, Ideal(R, []), ((1, 1, 1), (2, 1, 3)))
+    B = lift_from_localization(space, nu, R.var("x"), [R.var("y"), R.var("z")])
+    assert B.b.text() == "y"
+    assert [a.text() for a in B.a_list] == ["x", "z"]
+    assert B.chart.defining.canonical_strings() == ["z - y*t2", "y*t1 - x"]
+
+
 def test_localization_lift_keeps_a_legal_denominator():
     plane = _plane()
     R = plane.ring

@@ -282,6 +282,21 @@ def test_the_two_points_are_uniformized_with_no_blowup(tmp_path, capsys):
     ]
 
 
+def test_a_support_with_zero_divisors_exits_1_with_its_witness(tmp_path, capsys):
+    """The support (x, y^2) of the cusp is refuted by the monomial witness,
+    printed as the localization center's is."""
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({
+        "field": "Q", "vars": ["x", "y"], "ideal": ["y^2 - x^3"],
+        "localize_at": ["x", "y"],
+        "valuation": {"support": ["x"], "weights": {"y": [1]}, "rank": 1},
+    }))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: weight graded ring has zero divisors: witness (y)*(y)\n"
+    )
+
+
 @pytest.mark.parametrize("center, witness", [("x^2 - 1", "(x - 1)*(x + 1)"),
                                              ("x^2 - 4", "(x + 2)*(x - 2)")])
 def test_a_center_that_is_not_prime_exits_1_with_its_witness(tmp_path, capsys, center,

@@ -91,6 +91,9 @@ def test_radical(xy):
     assert radical(ideal(xy, "x^2", "y^2")) == ideal(xy, "x", "y")
     assert radical(ideal(xy, "y^2 - x^3")) == ideal(xy, "y^2 - x^3")
     assert radical(ideal(xy, "x^2 - y^2")) == ideal(xy, "x^2 - y^2")
+    # x^2*(y - z) has the common factor x^2 of its two terms, so x*(y - z) joins
+    xyz = ring("x", "y", "z")
+    assert radical(ideal(xyz, "x^2*y - x^2*z", "z^3")) == ideal(xyz, "z", "x*y")
 
 
 def test_radical_refuses_a_binomial_part_unsaturated_at_a_variable():
@@ -143,6 +146,11 @@ def test_minimal_primes(xy):
     assert got == [["x"], ["y"]]
     I = ideal(ring("x", "y", "z"), "x^2", "x*y", "y - z")
     assert [q.canonical_strings() for q in minimal_primes(I)] == [["z - y", "x"]]
+    # a witness split cuts off one point; the part left with three points
+    # splits again below the top
+    I = ideal(xy, "(x^2 - 1)*(x^2 - 4)", "y")
+    got = [q.canonical_strings() for q in minimal_primes(I)]
+    assert got == [["y", "x + 1"], ["y", "x + 2"], ["y", "x - 1"], ["y", "x - 2"]]
 
 
 def test_dimensions(xy, uxy):

@@ -1,6 +1,7 @@
 """The Groebner engine, the ideal operations, minimal polynomials, minimal
-primes and embedding dimensions against an independent oracle, sympy's
-`groebner`, `factor_list` and `jacobian`.
+primes, embedding dimensions, certified radicals, nilpotent lengths and the
+golden blowup charts against an independent oracle, sympy's `groebner`,
+`factor_list` and `jacobian`.
 
 sympy is a test dependency only; the runtime keeps no CAS.  Inputs are small
 seeded random ideals and modules over Q and F_p.  The ideal operations are
@@ -18,20 +19,27 @@ and ideals are compared by their reduced grevlex bases in sympy.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
 from conftest import COTANGENT_SCENES, chart_like_ideal, cotangent_rings
+from test_blowup import _golden_runs
+from test_decomp import CASCADE, _cascade_ideal
 
-from lu.decomp import minimal_polynomial, minimal_primes
+from lu import localring, pipeline
+from lu.blowup import local_blowup, transport_through_blowup
+from lu.decomp import minimal_polynomial, minimal_primes, radical
 from lu.errors import LuError
 from lu.fields import GF, QQ
 from lu.ideals import Ideal, buchberger
-from lu.localring import embedding_dimension
+from lu.localring import LocalRing, embedding_dimension, nilpotent_length
 from lu.modules import module_groebner
 from lu.orders import DegRevLex, Lex
 from lu.parse import parse_many, parse_poly
+from lu.pipeline import run_reduction
 from lu.poly import Polynomial, PolyRing
+from lu.scenes import load_scene
 
 sp = pytest.importorskip("sympy")
 
@@ -335,3 +343,88 @@ def _jacobian_embedding_dimension(L):
 def test_embedding_dimension_is_the_jacobian_corank(name):
     for L in cotangent_rings(name):
         assert embedding_dimension(L) == _jacobian_embedding_dimension(L), L
+
+
+# Radicals, nilpotent lengths and blowup charts (Cox, Little & O'Shea, ch. 4
+# §2 and §4): g lies in √I exactly when 1 ∈ I + (1 - t*g) (Rabinowitsch), and
+# a chart ideal is the saturation (I + (b*t_i - a_i)) : b^∞, the elimination
+# of s from I + (b*t_i - a_i) + (1 - s*b).
+
+def _in_radical(I, g, syms, field):
+    t = sp.Symbol("t_rad")
+    exprs = [_to_expr(f, syms) for f in I.gens] + [1 - t * _to_expr(g, syms)]
+    return list(_oracle(exprs, (*syms, t), "grevlex", field).exprs) == [1]
+
+
+CERTIFIED_RADICALS = [row[:3] for row in CASCADE if isinstance(row[6], list)]
+
+
+@pytest.mark.parametrize(
+    "field, names, gens", CERTIFIED_RADICALS,
+    ids=[f"{field}-{names}-{', '.join(gens)}"
+         for field, names, gens in CERTIFIED_RADICALS],
+)
+def test_every_certified_radical_lies_in_the_radical(field, names, gens):
+    I = _cascade_ideal(field, names, gens)
+    syms = sp.symbols(I.ring.names)
+    for g in radical(I).canonical_gb():
+        assert _in_radical(I, g, syms, I.ring.field), g.text()
+
+
+def _nilpotent_rings():
+    """The defining ideals whose nilpotent length the reductions of F1-F4
+    ask for, every ideal but the unit ideal whose radical the cascade table
+    certifies, and two of length 3 and 4."""
+    seen = []
+    real = localring.nilpotent_length
+
+    def recording(L):
+        if L.defining not in seen:
+            seen.append(L.defining)
+        return real(L)
+
+    with mock.patch.object(localring, "nilpotent_length", recording), \
+            mock.patch.object(pipeline, "nilpotent_length", recording):
+        for name in ("F1", "F2", "F3", "F4"):
+            run_reduction(*load_scene(name))
+    more = [row for row in CERTIFIED_RADICALS if row[2] != ["1"]]
+    more += [("Q", "xy", ["x^3", "x*y"]), ("Q", "xy", ["x^3", "y^2"])]
+    return seen + [_cascade_ideal(*row) for row in more]
+
+
+def test_nilpotent_length_is_the_least_power_of_the_nilradical_inside():
+    rings = _nilpotent_rings()
+    lengths = set()
+    for I in rings:
+        n = nilpotent_length(LocalRing(I.ring, I, I, check=False))
+        lengths.add(n)
+        syms = sp.symbols(I.ring.names)
+        G = _oracle([_to_expr(f, syms) for f in I.gens], syms, "grevlex", I.ring.field)
+        N = [_to_expr(g, syms) for g in radical(I).canonical_gb()]
+
+        def powers(k):
+            return [sp.Mul(*c) for c in combinations_with_replacement(N, k)]
+
+        assert all(G.contains(p) for p in powers(n)), I
+        assert not all(G.contains(p) for p in powers(n - 1)), I
+    assert len(rings) > 30 and lengths == {1, 2, 3, 4}
+
+
+def test_every_golden_chart_is_the_saturation_at_its_denominator():
+    s = sp.Symbol("s_sat")
+    for name, source, steps in _golden_runs():
+        L, nu = load_scene(source)
+        for step in steps:
+            b = parse_poly(L.ring, step["b"])
+            a_list = [parse_poly(L.ring, a) for a in step["a_list"]]
+            B = local_blowup(L, b, a_list, nu=nu)
+            S = B.chart.ring
+            syms = sp.symbols(S.names)
+            bx = _to_expr(b.to_ring(S), syms)
+            exprs = [_to_expr(f.to_ring(S), syms) for f in L.defining.gens]
+            exprs += [bx * sp.Symbol(t) - _to_expr(a.to_ring(S), syms)
+                      for t, a in zip(B.t_names, a_list)]
+            want = _eliminated(exprs + [1 - s * bx], [s], syms, S.field)
+            recorded = Ideal(S, parse_many(S, step["chart_ideal_gb"]))
+            assert _same_ideal(recorded, want, syms, S.field), name
+            L, nu = B.chart, transport_through_blowup(nu, B)

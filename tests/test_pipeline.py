@@ -155,6 +155,18 @@ def test_toric_uniformizer_refuses_a_pair_of_equal_values():
     assert trace.reason == "descent pair x, y share the value (1)"
 
 
+def test_toric_uniformizer_pairs_one_finite_variable_with_the_support():
+    """With one variable of finite value left, the numerator is the first
+    variable of infinite value in the center, and without one it refuses."""
+    local, nu = scene(["x", "y"], ["y"], ["x", "y"], ["y"], {"x": (1,)}, 1)
+    B = toric_uniformizer(local, nu)
+    assert (B.b.text(), [a.text() for a in B.a_list]) == ("x", ["y"])
+    local, nu = scene(["x"], [], ["x"], [], {"x": (1,)}, 1)
+    with pytest.raises(UnsupportedInstance,
+                       match="^no second variable for the descent pair$"):
+        toric_uniformizer(local, nu)
+
+
 def _cusp_2_5():
     return scene(
         ["x", "y"], ["y^2 - x^5"], ["x", "y"], ["y^2 - x^5"],
@@ -233,6 +245,47 @@ def test_a_chart_step_three_made_is_rechecked_for_regularity(monkeypatch):
     assert [s.label for s in trace.steps] == ["normal-flat"]
     assert trace.verdict == "Unsupported"
     assert trace.reason == "final verification: regular=False, normally_flat=True"
+
+
+ABSORBS_NOTHING = "blowup did not absorb a generator"
+
+
+@pytest.mark.parametrize(
+    "builder, step, probe, fault, check, detail",
+    [
+        # Whitney's second trim probe still reports the extra y
+        (_whitney, step2, "_trim_probe", lambda k, first, got: first,
+         "trim", ABSORBS_NOTHING),
+        # the cone's first piece, not free at the center, reports no extra
+        (_fat_cone, step3, "_piece_probe", lambda k, first, got: (got[0], []),
+         "normal flatness", "piece 1 is not free at the center yet nothing absorbs"),
+        # the chart's piece has a local basis of two elements, not one
+        (_fat_cone, step3, "_piece_probe",
+         lambda k, first, got: got if k == 1 else (got[0] * 2, got[1]),
+         "normal flatness", "local rank moved across the blowup"),
+        # the chart's piece still reports the extra x
+        (_fat_cone, step3, "_piece_probe", lambda k, first, got: (got[0], first[1]),
+         "normal flatness", ABSORBS_NOTHING),
+    ],
+    ids=["trim-absorbs-nothing", "piece-without-extra", "rank-moves",
+         "piece-absorbs-nothing"],
+)
+def test_a_faulty_probe_is_refused_by_its_step(monkeypatch, builder, step, probe, fault,
+                                               check, detail):
+    """Whitney trims once and the cone flattens once; a probe whose k-th
+    answer is fault(k, first answer, true answer) must end its step with
+    the named certification error."""
+    real = getattr(pipeline, probe)
+    answers = []
+
+    def faulty(*args):
+        answers.append(real(*args))
+        return fault(len(answers), answers[0], answers[-1])
+
+    monkeypatch.setattr(pipeline, probe, faulty)
+    with pytest.raises(CertificationError) as refused:
+        step(Run(*builder(), pipeline.BLOWUP_POOL))
+    assert (refused.value.check, refused.value.detail) == (check, detail)
 
 
 def test_each_trim_probe_reads_the_split_center_once(monkeypatch):
