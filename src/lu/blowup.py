@@ -164,7 +164,7 @@ def verify_center_isos(B, nu):
             )
     I = B.source.defining
     contracted = B.chart.defining.eliminate_restrict(B.t_names)
-    for g in contracted.canonical_gb():
+    for g in contracted.groebner():
         if supp.contains_ideal(I.colon(g)):
             failures.append(
                 f"contracted chart relation {g.text()} is not invertible "
@@ -231,12 +231,12 @@ def compose(B1, B2):
     fwd = dict(zip(fresh, old_ts))
     bwd = dict(zip(old_ts, fresh))
     J2 = B2.chart.defining
-    for g in Jstar.canonical_gb():
+    for g in Jstar.groebner():
         if not J2.contains(g.to_ring(S2, fwd)):
             raise IsomorphismCheckFailed(
                 f"composite relation {g.text()} fails on the second chart"
             )
-    for g in J2.canonical_gb():
+    for g in J2.groebner():
         if not Jstar.contains(g.to_ring(Sstar, bwd)):
             raise IsomorphismCheckFailed(
                 f"second chart relation {g.text()} fails on the composite"
@@ -298,7 +298,7 @@ def lift_from_quotient(L, nu, p1, b, a_list):
         raise SupportDivision(f"{b.text()} vanishes on the quotient")
     B = local_blowup(L, b, a_list, nu=nu)
     p1S, _ = strict_transform(B, p1)
-    for g in B.chart.defining.canonical_gb():
+    for g in B.chart.defining.groebner():
         if not p1S.contains(g):
             raise IsomorphismCheckFailed(
                 f"chart relation {g.text()} misses the transformed quotient kernel"

@@ -7,15 +7,15 @@ zero dimensional rings certified to be fields), "not-prime" always comes with
 a zero divisor witness that is re-verified by normal forms, and everything
 else is "unknown" so that callers can refuse the instance instead of lying.
 
-`is_prime` answers the unit ideal (not prime) and the zero, variable and
-graph classes (prime) first; a graph ideal's reduced basis is x_i - f_i
-with f_i free of every leading variable x_i, so R/I is a polynomial ring.
-Then it walks one cascade, `_CLASSES`: monomial witness, binomial lattice,
-principal univariate, zero dimensional.  Each class is a function
-`(I, gb) -> Primality | None`, None meaning it does not apply; the first
-prime or not-prime verdict wins, else the first unknown.  Every not-prime
-verdict is built by `_witnessed`, and both factoring classes read one
-factor search, `_factor_witness`.  `lu.unifactor` (and with it `fractions`)
+`is_prime` answers the unit ideal (not prime) first.  Then it walks one
+cascade, `_CLASSES`, on the ideal's reduced basis: graph (which takes the
+zero and variable ideals too), monomial witness, binomial lattice,
+principal univariate, zero dimensional.  A graph ideal's reduced basis is
+x_i - f_i with f_i free of every leading variable x_i, so R/I is a
+polynomial ring.  Each class is a function `(I, gb) -> Primality | None`,
+None meaning it does not apply; the first prime or not-prime verdict wins,
+else the first unknown.  Every not-prime verdict is built by `_witnessed`,
+and both factoring classes read one factor search, `_factor_witness`.  `lu.unifactor` (and with it `fractions`)
 is imported at the first factor search or squarefree part, so a run that
 needs neither never loads it.  The zero dimensional class reads
 minimal polynomials, each the generator of (I + (T - f)) ∩ k[T] by
@@ -41,8 +41,9 @@ radical's split, with no colon certificate, since a radical ideal has no
 embedded primes.
 
 `is_prime` and `radical` are `functools.lru_cache`s of the MEMO_CAP most
-recently used ideals.  An ideal hashes and compares by its ring and reduced
-degrevlex basis, so every presentation of one ideal shares one entry, and
+recently used ideals.  They are keyed by the canonical reduced basis: an
+ideal hashes and compares by its ring and that basis, the one its traces
+print, so every presentation of one ideal shares one entry, and
 `cache_info()` counts the verdicts reused and computed cold.
 """
 
@@ -105,13 +106,15 @@ def _pure_difference(g):
     return None
 
 
-def _graph_class(I):
+def _graph_class(I, gb):
     """Sections x_i = f_i(other variables), so R/I is a polynomial ring:
-    every leading monomial of the canonical reduced basis is a variable.
-    Reducedness does the rest: the leads are distinct, no term is divisible
-    by another element's lead, and a term divisible by its own lead x_i would
-    exceed x_i.  The zero ideal, prime too, goes to `is_variable_gb` first."""
-    return all(_is_variable_exps(g.leading()[0]) for g in I.canonical_gb())
+    every leading monomial of the reduced basis is a variable.  Reducedness
+    does the rest: the leads are distinct, no term is divisible by another
+    element's lead, and a term divisible by its own lead x_i would exceed
+    x_i.  A basis of variables is one, and so is the zero ideal's, which is
+    empty."""
+    if all(_is_variable_exps(g.leading()[0]) for g in gb):
+        return Primality(PRIME)
 
 
 def _witnessed(I, g, h):
@@ -139,11 +142,13 @@ def _zero_divisor_variable(B, names):
     """(x, B : x) for the first x of `names` with B : x != B, or None.
 
     None says B is saturated at those variables: B : (x_1*...*x_k)^∞ = B
-    exactly when every B : x_i = B.
+    exactly when every B : x_i = B.  B lies in B : x, so the two are equal
+    when B holds the colon's generators, which B's basis decides without a
+    basis of the colon.
     """
     for nm in names:
         c = B.colon(B.ring.var(nm))
-        if c != B:
+        if not B.contains_ideal(c):
             return nm, c
     return None
 
@@ -251,9 +256,7 @@ def standard_monomials(I):
     """Monomials outside the initial ideal, or None when there are infinitely many."""
     if I.is_unit_ideal():
         return []
-    gb = I.groebner()
-    order = I.ring.degrevlex
-    lts = [g.leading(order)[0] for g in gb]
+    lts = [g.leading()[0] for g in I.groebner()]
     n = I.ring.n
     bounds = []
     for i in range(n):
@@ -333,7 +336,8 @@ def _subst_dense(ell, coeffs):
     return acc
 
 
-_CLASSES = (_monomial_witness, _binomial_class, _principal_univariate, _zero_dim_class)
+_CLASSES = (_graph_class, _monomial_witness, _binomial_class, _principal_univariate,
+            _zero_dim_class)
 
 
 @lru_cache(maxsize=MEMO_CAP)
@@ -342,8 +346,6 @@ def is_prime(I):
     if I.is_unit_ideal():
         return Primality(NOT_PRIME, reason="unit ideal")
     gb = I.groebner()
-    if is_variable_gb(gb) or _graph_class(I):
-        return Primality(PRIME)
     unknown = None
     for cls in _CLASSES:
         got = cls(I, gb)
@@ -495,10 +497,9 @@ def _monomial_associated_primes(I):
         Q = I.colon(c)
         if Q.is_unit_ideal():
             continue
-        qgb = Q.groebner()
-        if is_variable_gb(qgb):
+        if is_variable_gb(Q.groebner()):
             out[Q.groebner()] = Q
-    return sorted(out.values(), key=lambda q: [g.text() for g in q.canonical_gb()])
+    return sorted(out.values(), key=Ideal.canonical_strings)
 
 
 def _split_primes(I, depth):
@@ -539,10 +540,7 @@ def _split_primes(I, depth):
     unique = {}
     for Q in leaves:
         unique.setdefault(Q.groebner(), Q)
-    return sorted(
-        unique.values(),
-        key=lambda q: (len(q.canonical_gb()), [g.text() for g in q.canonical_gb()]),
-    )
+    return sorted(unique.values(), key=lambda q: (len(q.groebner()), q.canonical_strings()))
 
 
 def _minimal(Q, primes):
@@ -600,10 +598,8 @@ def krull_dimension(I):
         raise UnsupportedInstance("dimension enumeration capped at 16 variables")
     if I.is_unit_ideal():
         return -1
-    gb = I.groebner()
-    order = ring.degrevlex
     supports = [
-        frozenset(i for i, x in enumerate(g.leading(order)[0]) if x) for g in gb
+        frozenset(i for i, x in enumerate(g.leading()[0]) if x) for g in I.groebner()
     ]
     for size in range(ring.n, -1, -1):
         for S in combinations(range(ring.n), size):

@@ -5,11 +5,13 @@ the two classical pair-dropping criteria, followed by full inter-reduction,
 so a (ring, order) pair determines the basis uniquely.  It is the package's
 only Groebner engine: `lu.modules` encodes submodules of R^s as ideals over
 tag variables under a `PositionOverTerm` order, and `buchberger` never pairs
-two leading terms in different positions.  The operations on ideals take
-one of three routes to it:
+two leading terms in different positions.  An ideal has one basis, reduced
+under its ring's canonical lex order, the one traces print: membership,
+equality, hashing, primality, radicals and dimension all read it.  The
+operations on ideals take one of three routes to the engine:
 
-- membership, sums, products and powers use degrevlex bases of the ideals
-  themselves; a product is formed from both factors' reduced bases;
+- membership, sums, products and powers use the ideals' own bases; a
+  product is formed from both factors' reduced bases;
 - colon and intersection are syzygy computations through
   `lu.modules.relation_module`: (I : f) is the relation module of [f]
   modulo I, and I ∩ J the image of the relation module of I's reduced basis
@@ -392,18 +394,15 @@ class Ideal:
         return entry
 
     def groebner(self, order=None):
-        return self._entry(order or self.ring.degrevlex)[0]
-
-    def canonical_gb(self):
-        return self.groebner(self.ring.canonical)
+        return self._entry(order or self.ring.canonical)[0]
 
     def canonical_strings(self):
-        return [g.text() for g in self.canonical_gb()]
+        return [g.text() for g in self.groebner()]
 
     def normal_form(self, f, order=None):
         # contains and colon land here too
         self.ring.own(f)
-        order = order or self.ring.degrevlex
+        order = order or self.ring.canonical
         entry = self._entry(order)
         if entry[1] is None:
             entry[1] = _reducer_rows(entry[0], order)
@@ -440,7 +439,7 @@ class Ideal:
         if other.ring != self.ring:
             raise LuError("product of ideals from different rings")
         gens = [a * b for a in self.groebner() for b in other.groebner()]
-        return Ideal(self.ring, groebner_basis(gens, self.ring.degrevlex))
+        return Ideal(self.ring, groebner_basis(gens, self.ring.canonical))
 
     def power(self, k):
         if k < 0:

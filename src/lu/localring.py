@@ -85,7 +85,7 @@ def cotangent_presentation(L):
     basis modulo center^2 + defining.  Callers read the rows only through
     `eliminate_at_prime` at the center, where both give one row space.
     """
-    gens = list(L.center.canonical_gb())
+    gens = list(L.center.groebner())
     rows = _linear_part_rows(L, gens)
     if rows is None:
         modulus = L.center.power(2) + L.defining
@@ -152,7 +152,7 @@ def nilradical_min_gens(L):
     candidate kept stays irredundant.
     """
     N = L.nilradical()
-    cands = list(N.canonical_gb())
+    cands = list(N.groebner())
     mN = L.center.multiply(N)
     for i in range(len(cands) - 1, -1, -1):
         others = cands[:i] + cands[i + 1 :]

@@ -53,7 +53,7 @@ class Lex(_Order):
         return len(self.priority)
 
     def key(self, e):
-        return tuple(e[i] for i in self.priority)
+        return tuple([e[i] for i in self.priority])
 
 
 class DegRevLex(_Order):

@@ -131,7 +131,7 @@ def step1(run):
                 "associated primes", "every associated prime lies in the support"
             )
         q = min(cands, key=lambda p: tuple(p.canonical_strings()))
-        gens = q.canonical_gb()
+        gens = q.groebner()
         bi = min(range(len(gens)), key=lambda i: (nu.value_of(gens[i]), i))
         b = gens[bi]
         rest = gens[:bi] + gens[bi + 1 :]
@@ -174,7 +174,7 @@ def _absorption(L, p1, basis, modulus, g):
     in p1, or ('stuck', None) when the colon sits inside p1.
     """
     Q = (Ideal(L.ring, basis) + modulus).colon(g)
-    cands = [c for c in Q.canonical_gb() if not p1.contains(c)]
+    cands = [c for c in Q.groebner() if not p1.contains(c)]
     if not cands:
         return "stuck", None
     for c in cands:
@@ -341,7 +341,7 @@ def toric_uniformizer(L, nu):
     value 0 at a center it generates."""
     if nu.rank != 1:
         raise UnsupportedInstance("the descent oracle needs a rank one valuation")
-    gb = L.defining.canonical_gb()
+    gb = L.defining.groebner()
     if any(len(g.terms) > 1 for g in gb):
         if any(len(g.terms) > 2 for g in gb):
             raise UnsupportedInstance(

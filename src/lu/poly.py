@@ -15,7 +15,7 @@ from operator import add, le, sub
 
 from .errors import DimensionMismatch, ExponentOverflow, LuError
 from .fields import is_rational
-from .orders import DegRevLex, canonical_order
+from .orders import canonical_order
 
 EXP_CAP = 1 << 16
 
@@ -53,11 +53,11 @@ def mono_deg(a):
 class PolyRing:
     """Polynomial ring over a fixed field with an ordered tuple of named variables.
 
-    It carries its two orders: `canonical`, for printed and traced bases, and
-    `degrevlex`, the default order of its ideals' bases and normal forms.
+    It carries `canonical`, the order its ideals' own bases and normal forms
+    are reduced under and every trace prints bases in.
     """
 
-    __slots__ = ("field", "names", "index", "canonical", "degrevlex")
+    __slots__ = ("field", "names", "index", "canonical")
 
     def __init__(self, field, names):
         names = tuple(names)
@@ -67,7 +67,6 @@ class PolyRing:
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
         self.canonical = canonical_order(names)
-        self.degrevlex = DegRevLex(len(names))
 
     @property
     def n(self):

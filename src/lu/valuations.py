@@ -222,7 +222,7 @@ class WeightValuation:
 
 def support_class(nu):
     """'zero', 'variables', or 'weight-homogeneous'; None outside the classes."""
-    gb = nu.support.canonical_gb()
+    gb = nu.support.groebner()
     if not gb:
         return "zero"
     if is_variable_gb(gb):
@@ -280,7 +280,7 @@ def certify(nu, defining, center):
         col = nu.column(nm)
         if col < (0,) * nu.rank and not nu.support.contains(ring.var(nm)):
             raise NotCentered(f"variable {nm} has negative weight column {col}")
-    for g in center.canonical_gb():
+    for g in center.groebner():
         if not nu.value_of(g).is_positive:
             raise NotCentered(
                 f"center generator {g.text()} has value {nu.value_of(g).text()}"

@@ -116,7 +116,7 @@ def test_criterion_04_cusp_toric_uniformization():
     S = final.ring
     syms = sp.symbols(S.names)
     rows = []
-    for g in final.defining.canonical_gb():
+    for g in final.defining.groebner():
         expr = sum(
             sp.Rational(c) * sp.Mul(*(s**k for s, k in zip(syms, e)))
             for e, c in g.terms.items()

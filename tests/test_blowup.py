@@ -269,6 +269,46 @@ def test_quotient_lift_checks_the_contraction():
         raise AssertionError("lifted a denominator that dies in the quotient")
 
 
+def test_center_checks_report_a_denominator_in_the_support():
+    """A blowup built without the valuation may divide by an element of its
+    support; the checks then report the support's contraction, the
+    denominator and a contracted relation that no inversion outside the
+    support makes trivial.  The chart relations always lie in the
+    transformed support, which saturates an ideal holding them."""
+    R = ring("x", "y")
+    L = LocalRing(R, ideal(R, "x*y"), ideal(R, "x", "y"))
+    B = local_blowup(L, R.var("x"), [R.var("y")])
+    assert B.chart.defining.canonical_strings() == ["y", "t"]
+    nu = WeightValuation(R, ideal(R, "x"), ((0, 1),))
+    assert verify_center_isos(B, nu) == (False, (
+        "transformed support contracts to (1), not the support",
+        "denominator x lies in the support",
+        "contracted chart relation y is not invertible away from the support",
+    ))
+
+
+def test_quotient_lift_refuses_a_kernel_that_misses_the_chart():
+    """p1 = (w) does not hold the defining ideal (u), so the chart relation
+    u misses the transformed kernel."""
+    R = ring("u", "v", "w")
+    local = LocalRing(R, ideal(R, "u"), ideal(R, "u", "v", "w"))
+    nu = WeightValuation(R, Ideal(R, []), ((1, 1, 1),))
+    with pytest.raises(IsomorphismCheckFailed,
+                       match="^chart relation u misses the transformed quotient kernel$"):
+        lift_from_quotient(local, nu, ideal(R, "w"), R.var("v"), [R.var("w")])
+
+
+def test_quotient_lift_refuses_a_kernel_the_denominator_does_not_saturate():
+    """v is a zero divisor modulo p1 = (u*v): the transformed kernel
+    contracts to p1 : v^infinity = (u), not to p1."""
+    R = ring("u", "v", "w")
+    local = LocalRing(R, Ideal(R, []), ideal(R, "u", "v", "w"))
+    nu = WeightValuation(R, Ideal(R, []), ((1, 1, 1),))
+    with pytest.raises(IsomorphismCheckFailed,
+                       match="^transformed quotient kernel does not contract to the kernel$"):
+        lift_from_quotient(local, nu, ideal(R, "u*v"), R.var("v"), [R.var("w")])
+
+
 def _golden_runs():
     """(name, scene, steps) of each golden trace: F1-F3 and the cusps
     y^a - x^b with weights (a, b), as the benchmark draws them."""

@@ -156,7 +156,7 @@ def test_a_run_out_of_basis_budget_still_writes_its_trace(tmp_path, monkeypatch,
     assert err == "budget exceeded: basis computation exceeded 2 reductions\n"
     data = json.loads(trace_path.read_text())
     assert data["verdict"] == "BudgetExceeded"
-    assert (data["final"]["ideal_gb"], data["final"]["center_gb"]) == (None, None)
+    assert (data["final"]["ideal_gb"], data["final"]["center_gb"]) == (None, ["y", "x", "v", "u"])
 
 
 def test_a_step_out_of_blowups_exits_3(monkeypatch, capsys):

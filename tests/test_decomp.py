@@ -57,7 +57,7 @@ def test_not_prime_comes_with_a_witness(xy):
     # a variable that is a zero divisor modulo the binomials
     v3 = is_prime(ideal(ring("x", "y", "z"), "x*y - x*z"))
     assert v3.verdict == NOT_PRIME
-    assert [p.text() for p in v3.witness] == ["x", "-z + y"]
+    assert [p.text() for p in v3.witness] == ["x", "z - y"]
     # a zero dimensional ideal whose primitive element's minimal polynomial splits
     I = ideal(xy, "x^2 - 2", "y^2 - 2")
     v4 = is_prime(I)
@@ -225,15 +225,15 @@ CASCADE = [
     ("Q", "xyz", ["x + y - 1", "z - y"], PRIME, None, "",
      ["z + x - 1", "y + x - 1"], [["z + x - 1", "y + x - 1"]]),
     # monomial witness
-    ("Q", "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "x"), "", ["x"], [["x"]]),
+    ("Q", "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "y"), "", ["x"], [["x"]]),
     ("Q", "xy", ["x*y"], NOT_PRIME, ("x", "y"), "", ["x*y"], [["x"], ["y"]]),
-    ("Q", "xyz", ["x^2", "y*z"], NOT_PRIME, ("x", "x"), "",
+    ("Q", "xyz", ["x^2", "y*z"], NOT_PRIME, ("y", "z"), "",
      ["y*z", "x"], [["y", "x"], ["z", "x"]]),
     # binomial lattice: saturated, a variable zero divisor, a lattice defect
     ("Q", "xy", ["x*y - 1"], PRIME, None, "", ["x*y - 1"], [["x*y - 1"]]),
     ("Q", "xy", ["y^2 - x^3"], PRIME, None, "", ["y^2 - x^3"], [["y^2 - x^3"]]),
     ("Q", "uxy", ["u*y - x^2"], PRIME, None, "", ["u*y - x^2"], [["u*y - x^2"]]),
-    ("Q", "xyz", ["x*y - x*z"], NOT_PRIME, ("x", "-z + y"), "", UNSATURATED, UNSATURATED),
+    ("Q", "xyz", ["x*y - x*z"], NOT_PRIME, ("x", "z - y"), "", UNSATURATED, UNSATURATED),
     ("Q", "xy", ["x^2*y - y"], NOT_PRIME, ("y", "x^2 - 1"), "", UNSATURATED, UNSATURATED),
     ("Q", "x", ["x^2 - x"], NOT_PRIME, ("x", "x - 1"), "", ["x^2 - x"], [["x"], ["x - 1"]]),
     ("Q", "xy", ["x^2 - x", "y"], NOT_PRIME, ("x", "x - 1"), "",
@@ -277,7 +277,7 @@ CASCADE = [
     # ideal gets the lattice class's reason, a zero dimensional one the zero
     # dimensional class's, and any other ideal no class's
     (5, "xy", ["x", "y"], PRIME, None, "", ["y", "x"], [["y", "x"]]),
-    (5, "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "x"), "", ["x"], [["x"]]),
+    (5, "xy", ["x^2", "x*y"], NOT_PRIME, ("x", "y"), "", ["x"], [["x"]]),
     (5, "xy", ["y^2 - x^3"], UNKNOWN, None, CHAR0, EXHAUSTED, EXHAUSTED),
     (5, "xy", ["x^2 + y^2 - 1"], UNKNOWN, None, "no decisive class applies",
      EXHAUSTED, EXHAUSTED),
@@ -331,7 +331,8 @@ def test_binomial_ideals_over_f_p_keep_the_lattice_reason(gens):
 
 def test_the_table_reaches_every_answer_of_every_class(monkeypatch):
     """Each class of the cascade answers prime, not-prime and unknown on
-    some row (a monomial basis always has a witness)."""
+    some row (a graph basis is always prime, a monomial basis always has a
+    witness)."""
     answers = set()
 
     def recording(cls):
@@ -349,4 +350,4 @@ def test_the_table_reaches_every_answer_of_every_class(monkeypatch):
     decomp.is_prime.cache_clear()
     every = {(cls, v) for cls in ("_binomial_class", "_principal_univariate", "_zero_dim_class")
              for v in (PRIME, NOT_PRIME, UNKNOWN)}
-    assert answers == every | {("_monomial_witness", NOT_PRIME)}
+    assert answers == every | {("_graph_class", PRIME), ("_monomial_witness", NOT_PRIME)}

@@ -285,10 +285,10 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
-        "F1": (27, 33, 4),
-        "F2": (59, 405, 117),
-        "F3": (32, 31, 26),
-        "F4": (5, 0, 0),
+        "F1": (21, 26, 4),
+        "F2": (55, 352, 109),
+        "F3": (24, 20, 18),
+        "F4": (3, 0, 0),
     }
     for name, counts in expected.items():
         for memo in (ideals._cached_basis, decomp.is_prime, decomp.radical):

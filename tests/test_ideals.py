@@ -38,7 +38,7 @@ def test_reduced_gb_is_generator_independent(xy):
         "x^2 - y + x*(x*y - 1)",
         "y*(x^2 - y) - (x*y - 1)*x",
     )
-    assert I.canonical_gb() == J.canonical_gb()
+    assert I.groebner() == J.groebner()
     assert I == J
 
 
@@ -66,7 +66,7 @@ def test_gb_invariance_random(data):
 def test_unit_and_zero(xy):
     assert ideal(xy, "x", "x + 1").is_unit_ideal()
     assert not ideal(xy).groebner()
-    assert not list(ideal(xy, "0").canonical_gb())
+    assert not list(ideal(xy, "0").groebner())
 
 
 @pytest.mark.parametrize("gen", [1, "x"], ids=["number", "text"])
@@ -277,7 +277,7 @@ def test_memo_hit_returns_the_cold_basis(uxy):
     cached = ideals._cached_basis
     cached.cache_clear()
     gens = parse_many(uxy, ["u*y - x^2", "x^3 - u", "y^2*x - 1"])
-    order = DegRevLex(3)
+    order = uxy.canonical
     cold = groebner_basis(gens, order)
     assert cached.cache_info()[:2] == (0, 1)
     assert cold == buchberger(gens, order)

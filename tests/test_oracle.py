@@ -367,7 +367,7 @@ CERTIFIED_RADICALS = [row[:3] for row in CASCADE if isinstance(row[6], list)]
 def test_every_certified_radical_lies_in_the_radical(field, names, gens):
     I = _cascade_ideal(field, names, gens)
     syms = sp.symbols(I.ring.names)
-    for g in radical(I).canonical_gb():
+    for g in radical(I).groebner():
         assert _in_radical(I, g, syms, I.ring.field), g.text()
 
 
@@ -400,7 +400,7 @@ def test_nilpotent_length_is_the_least_power_of_the_nilradical_inside():
         lengths.add(n)
         syms = sp.symbols(I.ring.names)
         G = _oracle([_to_expr(f, syms) for f in I.gens], syms, "grevlex", I.ring.field)
-        N = [_to_expr(g, syms) for g in radical(I).canonical_gb()]
+        N = [_to_expr(g, syms) for g in radical(I).groebner()]
 
         def powers(k):
             return [sp.Mul(*c) for c in combinations_with_replacement(N, k)]

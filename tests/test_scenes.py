@@ -315,8 +315,9 @@ def test_a_uniformized_trace_reuses_the_final_verification(monkeypatch):
 
 def test_a_trace_out_of_basis_budget_serializes_its_bases_as_null(monkeypatch):
     """The basis budget that ended the run also bars the final chart's
-    bases; they are written as null, like the facts, and replay counts
-    each missing basis as one mismatch."""
+    ideal basis; it is written as null, like the facts, and replay counts
+    the missing basis as one mismatch.  The center's basis, computed
+    within the budget before it tripped, is written."""
     L, nu = load_scene("F2")
     # an empty memo, so the bases are computed under the small budget
     ideals._cached_basis.cache_clear()
@@ -325,11 +326,10 @@ def test_a_trace_out_of_basis_budget_serializes_its_bases_as_null(monkeypatch):
     assert trace.verdict == "BudgetExceeded"
     text = trace_to_json(trace)
     assert json.loads(text)["final"] == {
-        "ideal_gb": None, "center_gb": None, "regular": None,
+        "ideal_gb": None, "center_gb": ["y", "x", "v", "u"], "regular": None,
         "normally_flat": None, "N": None,
     }
     monkeypatch.setattr(ideals, "BUDGET", Limits())
     assert replay_trace("F2", text) == [
         "final: chart ideal ['y^2', 'x*y', 'u*y - v*x', 'x^2'] != None",
-        "final: center ['y', 'x', 'v', 'u'] != None",
     ]
