@@ -147,7 +147,7 @@ def verify_center_isos(B, nu):
     supp = nu.support
     supp1, _ = strict_transform(B, supp)
     S = B.chart.ring
-    back = supp1.eliminate_restrict(B.t_names)
+    back = supp1.eliminate(B.t_names)
     if back != supp:
         failures.append(
             "transformed support contracts to "
@@ -163,7 +163,7 @@ def verify_center_isos(B, nu):
                 f"chart relation {w.text()} misses the transformed support"
             )
     I = B.source.defining
-    contracted = B.chart.defining.eliminate_restrict(B.t_names)
+    contracted = B.chart.defining.eliminate(B.t_names)
     for g in contracted.groebner():
         if supp.contains_ideal(I.colon(g)):
             failures.append(
@@ -303,7 +303,7 @@ def lift_from_quotient(L, nu, p1, b, a_list):
             raise IsomorphismCheckFailed(
                 f"chart relation {g.text()} misses the transformed quotient kernel"
             )
-    if p1S.eliminate_restrict(B.t_names) != p1:
+    if p1S.eliminate(B.t_names) != p1:
         raise IsomorphismCheckFailed(
             "transformed quotient kernel does not contract to the kernel"
         )

@@ -292,7 +292,7 @@ def minimal_polynomial(I, f):
     big = ring.extend(["_t"])
     t = big.var("_t")
     J = Ideal(big, [g.to_ring(big) for g in I.gens] + [t - f.to_ring(big)])
-    (g,) = J.eliminate_restrict(ring.names).gens
+    (g,) = J.eliminate(ring.names).gens
     return _univariate_of(g)[1]
 
 

@@ -22,7 +22,9 @@ operations on ideals take one of three routes to the engine:
   isomorphism k[x]/I -> k[x']/I' onto a ring with fewer variables, so the
   colon ideal and the saturation's exponent N are those of I, and the
   module basis is built over k[x'];
-- elimination takes a basis under an elimination order.
+- elimination takes one basis under `elimination_order`, lex with the
+  dropped variables first, and keeps its elements free of them: they are
+  the contraction's canonical basis in the smaller ring.
 
 `lu.modules` imports this module when it loads, so the functions here that
 need it import it when they run.
@@ -53,10 +55,10 @@ element, (leading exps, leading coeff, tail items, size), and the one
 division loop in `normal_form` scans them.  The rows are built once per
 basis and order, in three places: `buchberger` extends its rows as its
 basis grows, `inter_reduce` builds them once for the minimal basis, and
-`Ideal.normal_form` keeps them in the instance's `_gb` entry for the order,
-next to the basis, built at the first normal form.  They are not a new memo
-either: they live and die with that entry, have no key of their own and
-nothing to evict.  A call from outside the module passes a plain basis and
+`Ideal.normal_form` keeps them in the instance's `_rows`, next to its
+basis, built at the first normal form.  They are not a new memo either:
+they live and die with the ideal, have no key of their own and nothing to
+evict.  A call from outside the module passes a plain basis and
 gets its rows built for that call.
 
 Division keys only the monomials whose order matters.  `normal_form`
@@ -362,16 +364,16 @@ def buchberger(gens, order):
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced bases per order.
+    """A finitely generated ideal with its cached reduced basis.
 
-    Each instance keeps the bases it has asked for, one per order, each with
-    its reducer rows once a normal form has needed them.  A miss there goes
-    to the shared `groebner_basis` memo (at most MEMO_CAP bases, least
-    recently used dropped first), so ideals with the same generator tuple
-    share one computation.
+    The basis is reduced under the ring's canonical order and asked for
+    once, from the shared `groebner_basis` memo (at most MEMO_CAP bases,
+    least recently used dropped first), so ideals with the same generator
+    tuple share one computation; its reducer rows are built at the first
+    normal form.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_rows")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -380,33 +382,27 @@ class Ideal:
             if not ring.own(g, "generator ").is_zero():
                 cleaned.append(g)
         self.gens = tuple(cleaned)
-        self._gb = {}
+        self._gb = self._rows = None
 
     def __repr__(self):
         inner = ", ".join(g.text() for g in self.gens) or "0"
         return f"Ideal({inner})"
 
-    def _entry(self, order):
-        # [basis, reducer rows or None until the first normal form]
-        entry = self._gb.get(order)
-        if entry is None:
-            entry = self._gb[order] = [groebner_basis(self.gens, order), None]
-        return entry
-
-    def groebner(self, order=None):
-        return self._entry(order or self.ring.canonical)[0]
+    def groebner(self):
+        if self._gb is None:
+            self._gb = groebner_basis(self.gens, self.ring.canonical)
+        return self._gb
 
     def canonical_strings(self):
         return [g.text() for g in self.groebner()]
 
-    def normal_form(self, f, order=None):
+    def normal_form(self, f):
         # contains and colon land here too
         self.ring.own(f)
-        order = order or self.ring.canonical
-        entry = self._entry(order)
-        if entry[1] is None:
-            entry[1] = _reducer_rows(entry[0], order)
-        return normal_form(f, entry[0], order, rows=entry[1])
+        gb = self.groebner()
+        if self._rows is None:
+            self._rows = _reducer_rows(gb, self.ring.canonical)
+        return normal_form(f, gb, self.ring.canonical, rows=self._rows)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -450,21 +446,19 @@ class Ideal:
         return acc
 
     def eliminate(self, drop):
-        """Generators of the ideal's contraction to the subring avoiding `drop`.
+        """The contraction of the ideal to the subring avoiding `drop`, as an
+        ideal of that smaller ring.
 
-        Result still lives in the ambient ring; its generators mention no
-        dropped variable and form a basis of the contraction.
+        Under `elimination_order` the basis elements free of `drop` are the
+        contraction's reduced basis under the smaller ring's canonical order,
+        so they are kept as its basis.
         """
-        order = elimination_order(self.ring.names, drop)
-        gb = self.groebner(order)
-        dropset = set(drop)
-        kept = [g for g in gb if not (g.variables() & dropset)]
-        return Ideal(self.ring, kept)
-
-    def eliminate_restrict(self, drop):
-        """Same as eliminate, reinterpreted in the smaller ring."""
+        gb = groebner_basis(self.gens, elimination_order(self.ring.names, drop))
         small = self.ring.drop(drop)
-        return Ideal(small, [g.to_ring(small) for g in self.eliminate(drop).gens])
+        dropset = set(drop)
+        out = Ideal(small, [g.to_ring(small) for g in gb if not g.variables() & dropset])
+        out._gb = out.gens
+        return out
 
     def intersect(self, other):
         """The intersection self ∩ other, by syzygies.

@@ -3,9 +3,14 @@
 Every order exposes `arity` and `key(exps)`; tuple comparison of keys agrees
 with the order (bigger key means bigger monomial).  Orders are immutable
 and compare by class and fields, so they can index Groebner basis caches.
+
+Ideals are reduced under lex only: `canonical_order`, every ideal's own
+order, and `elimination_order`, the same ranking with a dropped block put
+first.  `DegRevLex` is the tie inside a position of `PositionOverTerm`,
+the order of module bases.
 """
 
-from operator import mul, neg
+from operator import neg
 
 from .errors import DimensionMismatch
 
@@ -65,27 +70,6 @@ class DegRevLex(_Order):
         return (sum(e), tuple(map(neg, reversed(e))))
 
 
-class WeightRefined(_Order):
-    """Compare weight rows lexicographically (heavier first), ties decided by `tie`."""
-
-    __slots__ = ("rows", "tie")
-
-    def __init__(self, rows, tie):
-        for r in rows:
-            if len(r) != tie.arity:
-                raise DimensionMismatch(
-                    f"weight row arity {len(r)} differs from order arity {tie.arity}"
-                )
-        super().__init__(rows, tie)
-
-    @property
-    def arity(self):
-        return self.tie.arity
-
-    def key(self, e):
-        return (tuple([sum(map(mul, r, e)) for r in self.rows]), self.tie.key(e))
-
-
 class PositionOverTerm(_Order):
     """Order on module elements sum f_k*e_k encoded as polynomials.
 
@@ -111,20 +95,23 @@ class PositionOverTerm(_Order):
 def canonical_order(names):
     """Lex with later-alphabet names more significant.
 
-    This is the order every printed or traced basis is reduced against, so
-    that output is reproducible byte for byte.
+    This is the order of every ideal's own basis, the one every printed or
+    traced basis is reduced against, so that output is reproducible byte
+    for byte.
     """
-    ranked = sorted(range(len(names)), key=lambda i: names[i], reverse=True)
-    return Lex(tuple(ranked))
+    return elimination_order(names, ())
 
 
 def elimination_order(names, drop):
-    """Order making every monomial that touches `drop` beat every one that avoids it."""
+    """Lex with every variable of `drop` more significant than every other.
+
+    Inside each block the canonical ranking holds, so a basis under this
+    order, cut to its elements free of `drop`, is the contraction's reduced
+    basis under the smaller ring's canonical order (Cox, Little & O'Shea,
+    ch. 3 §1, the Elimination Theorem).
+    """
     dropset = set(drop)
-    row = tuple(1 if nm in dropset else 0 for nm in names)
-    return WeightRefined((row,), DegRevLex(len(names)))
-
-
-def weight_order(rows, n):
-    """Weight rows compared lexicographically, refined by degrevlex to a total order."""
-    return WeightRefined(tuple(tuple(r) for r in rows), DegRevLex(n))
+    ranked = sorted(
+        range(len(names)), key=lambda i: (names[i] in dropset, names[i]), reverse=True
+    )
+    return Lex(tuple(ranked))

@@ -10,6 +10,18 @@ weight graded ring of R is R itself regraded, so multiplicativity is the
 primality of P and no representative can beat the normal form).  certify()
 refuses anything else rather than returning values that may undershoot.
 
+Every normal form is taken against P's one basis, reduced under the ring's
+canonical lex order; the weights build no order of their own.  For a
+certified support the value does not depend on that choice.  A zero or
+variable support reduces a monomial to itself or to 0 under every order.  A
+weight homogeneous P has a weight homogeneous reduced basis under every
+monomial order (Cox, Little & O'Shea, ch. 8 §3), so division keeps each
+weight piece f_w of f in its weight: NF(f) = sum_w NF(f_w), and NF(f_w) = 0
+exactly when f_w lies in P.  The value is therefore the least w with f_w
+outside P, under any order.  That homogeneity is the condition that makes a
+certified value independent of the order; outside the classes the values
+read can move with it.
+
 Values are read by linearity.  Division by a reduced Groebner basis leaves
 the unique remainder with no term in the leading ideal, so the normal form
 is linear: NF(sum c_e x^e) = sum c_e NF(x^e).  A valuation keeps NF(x^e),
@@ -44,7 +56,6 @@ from .errors import (
 )
 from .fields import is_int
 from .ideals import Ideal
-from .orders import weight_order
 from .poly import Polynomial
 
 
@@ -125,7 +136,7 @@ class Value:
 class WeightValuation:
     """Support prime plus a weight row per rank coordinate."""
 
-    __slots__ = ("ring", "support", "rows", "_order", "_monomial_nf", "_weight")
+    __slots__ = ("ring", "support", "rows", "_monomial_nf", "_weight")
 
     def __init__(self, ring, support, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -143,7 +154,6 @@ class WeightValuation:
         self.ring = ring
         self.support = support
         self.rows = rows
-        self._order = weight_order(rows, ring.n)
         # exps -> the normal form of x^exps as (exps, coeff) items
         self._monomial_nf = {}
         # exps -> weight vector, for each monomial of a stored normal form
@@ -170,7 +180,7 @@ class WeightValuation:
         Division by the support's reduced basis is unique, hence linear, so
         the normal form is summed term by term, NF(f) = sum c_e NF(x^e), from
         the valuation's table of monomial normal forms.  A monomial missing
-        there is divided once, against that basis under the valuation's
+        there is divided once, against that basis under the ring's canonical
         order, and stored; the table grows by one entry per distinct
         monomial passed in, and no further.  Coefficients that cancel in the
         sum are skipped, and an empty sum is the infinite value.
@@ -208,7 +218,7 @@ class WeightValuation:
 
     def _divide_monomial(self, e):
         """NF(x^e) as (exps, coeff) items, each monomial's weight recorded."""
-        nf = self.support.normal_form(self.ring.monomial(e), self._order)
+        nf = self.support.normal_form(self.ring.monomial(e))
         weight = self._weight
         for e2 in nf.terms:
             if e2 not in weight:
@@ -249,8 +259,8 @@ def certify(nu, defining, center):
 
     A variable the support contains may have a negative weight column: its
     value is infinite, and every monomial that holds it reduces to 0 (the
-    support's reduced basis holds the variable itself), so the weight order
-    stays usable and the column is never read.
+    support's reduced basis holds the variable itself), so the column is
+    never read.
     """
     if not nu.support.contains_ideal(defining):
         raise CertificationError("support does not contain the defining ideal")

@@ -15,6 +15,8 @@ from lu.decomp import (
 )
 from lu.errors import CertificationError, UnsupportedInstance
 from lu.fields import GF, QQ
+from lu.ideals import Ideal
+from lu.parse import parse_poly
 from lu.pipeline import run_reduction
 from lu.scenes import load_scene
 
@@ -159,6 +161,39 @@ def test_dimensions(xy, uxy):
     assert krull_dimension(ideal(xy, "x", "y")) == 0
     assert krull_dimension(ideal(uxy, "u*y - x^2")) == 2
     assert local_dimension(ideal(uxy, "x", "y"), ideal(uxy, "u", "x", "y")) == 1
+
+
+def test_local_dimension_refuses_a_center_off_the_ideal_or_its_primes(xy):
+    """The center must hold the ideal and one of its minimal primes; (x*y)
+    holds the ideal (x*y) but, not being prime, neither (x) nor (y)."""
+    with pytest.raises(CertificationError, match="center does not contain the ideal"):
+        local_dimension(ideal(xy, "x"), ideal(xy, "y"))
+    with pytest.raises(CertificationError, match="no minimal prime inside the localization"):
+        local_dimension(ideal(xy, "x*y"), ideal(xy, "x*y"))
+
+
+def test_an_embedded_candidate_without_a_colon_witness_is_refused(monkeypatch):
+    """(x^2, x*y + x*z + y*z) is a complete intersection, so it has no
+    embedded prime; but the split's branch I + (f^N) leaves the candidate
+    (x, y, z).  (I : (x, y, z)) is I itself, so no basis element of it and
+    no pair sum of two (the fallback runs) is a witness, and the candidate
+    is refused rather than returned."""
+    R = ring("x", "y", "z")
+    I = ideal(R, "x^2", "x*y + x*z + y*z")
+    leaves = [q.canonical_strings() for q in decomp._split_primes(I, 0)]
+    assert leaves == [["y", "x"], ["z", "x"], ["z", "y", "x"]]
+    asked = []
+    colon = Ideal.colon
+
+    def recording(J, f):
+        if J is I:
+            asked.append(f.text())
+        return colon(J, f)
+
+    monkeypatch.setattr(Ideal, "colon", recording)
+    with pytest.raises(UnsupportedInstance, match="embedded prime candidate resisted"):
+        associated_primes(I)
+    assert asked[-1] == parse_poly(R, "y*z + x*z + x*y + x^2").text()
 
 
 def test_the_node_splits_at_its_primality_witness(xy):

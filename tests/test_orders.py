@@ -7,10 +7,8 @@ from lu.orders import (
     DegRevLex,
     Lex,
     PositionOverTerm,
-    WeightRefined,
     canonical_order,
     elimination_order,
-    weight_order,
 )
 from lu.parse import parse_poly
 
@@ -49,31 +47,14 @@ def test_canonical_order_is_reverse_alphabetical_lex():
     assert o.key(_lead(R, "t", o)) == o.key(_lead(R, "t", o))
 
 
-def test_weight_refined_max_convention():
-    # heavier total weight wins; ties fall through to the refinement
-    o = WeightRefined(((2, 1),), DegRevLex(2))
-    assert o.key((1, 2)) > o.key((2, 0))  # tie at 4, degree decides
-    assert o.key((1, 0)) > o.key((0, 1))  # weight 2 beats 1
-    assert o.key((1, 0)) < o.key((0, 2))  # tie at 2, degree decides
-
-
-def test_weight_order_tie_is_degrevlex():
-    o = weight_order(((1, 1),), 2)
-    assert o.key((1, 0)) > o.key((0, 1))
-
-
-def test_weight_refined_arity_check():
-    with pytest.raises(DimensionMismatch):
-        WeightRefined(((1, 2, 3),), DegRevLex(2))
-
-
 def test_elimination_order_blocks():
     """Any monomial touching a dropped variable beats any clean one."""
     R = ring("x", "y", "t")
     o = elimination_order(R.names, ("t",))
     assert o.key(_lead(R, "t", o)) > o.key(_lead(R, "x^9*y^9", o))
-    # away from the dropped block the tie-break is plain degrevlex
-    assert o.key(_lead(R, "x^2", o)) > o.key(_lead(R, "x*y", o))
+    # away from the dropped block the tie-break is the canonical lex
+    assert o.key(_lead(R, "y", o)) > o.key(_lead(R, "x^9", o))
+    assert o == Lex((2, 1, 0))
 
 
 def test_position_over_term():
@@ -101,7 +82,6 @@ def test_orders_of_different_classes_are_never_equal():
     orders = [
         Lex((0, 1)),
         DegRevLex(2),
-        WeightRefined(((1, 1),), DegRevLex(2)),
         PositionOverTerm(DegRevLex(2), 1),
         PositionOverTerm(((1, 1),), DegRevLex(2)),
     ]

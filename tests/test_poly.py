@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import lu.parse
 from lu.errors import ExponentOverflow, LuError, PolySyntaxError, ResourceLimit, UnknownVariable
 from lu.fields import GF, QQ
-from lu.orders import DegRevLex, Lex, PositionOverTerm, WeightRefined
+from lu.orders import DegRevLex, Lex, PositionOverTerm, elimination_order
 from lu.parse import MAX_DEPTH, parse_many, parse_poly
 from lu.poly import Polynomial, PolyRing
 
@@ -189,16 +189,16 @@ def test_text_parse_round_trip_random(data):
     assert parse_poly(R, f.text()) == f
 
 
-# Orders on three variables, with equal but distinct objects and orders that
-# differ only in their tie-break.
+# Orders on three variables, with equal but distinct objects and two
+# elimination orders, both dropping y, that differ only in the tie after it.
 _ORDERS = (
     Lex((0, 1, 2)),
     Lex((2, 0, 1)),
     DegRevLex(3),
     DegRevLex(3),
-    WeightRefined(((1, 2, 0),), DegRevLex(3)),
-    WeightRefined(((1, 2, 0),), DegRevLex(3)),
-    WeightRefined(((1, 2, 0),), Lex((0, 1, 2))),
+    elimination_order(("x", "y", "z"), ("y",)),
+    elimination_order(("x", "y", "z"), ("y",)),
+    elimination_order(("x", "y", "z"), ("y", "x")),
     PositionOverTerm(DegRevLex(2), 1),
 )
 

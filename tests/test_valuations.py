@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,9 @@ from lu.errors import (
 )
 from lu import valuations
 from lu.fields import GF, QQ
-from lu.ideals import Ideal
-from lu.orders import WeightRefined
+from lu.ideals import Ideal, groebner_basis, normal_form
+from lu.orders import Lex, _Order
+from lu.pipeline import run_reduction
 from lu.parse import parse_poly
 from lu.poly import Polynomial, PolyRing
 from lu.scenes import load_scene
@@ -289,13 +291,13 @@ def test_value_of_on_a_variable_support_computes_no_order_key(monkeypatch):
     assert support_class(nu) == "variables"
     nu.value_of(nu.ring.one())  # finds the support basis's leading terms
     keyed = []
-    key = WeightRefined.key
+    key = Lex.key
 
     def counting(order, e):
         keyed.append(e)
         return key(order, e)
 
-    monkeypatch.setattr(WeightRefined, "key", counting)
+    monkeypatch.setattr(Lex, "key", counting)
     rng = random.Random(3)
     values = []
     for _ in range(100):
@@ -306,7 +308,7 @@ def test_value_of_on_a_variable_support_computes_no_order_key(monkeypatch):
 
 def _value_by_whole_division(nu, f):
     """value_of as first written: divide f whole, then take the least weight."""
-    nf = nu.support.normal_form(f, nu._order)
+    nf = nu.support.normal_form(f)
     if nf.is_zero():
         return Value(None)
     return Value(min(nu.weight_of_exps(e) for e in nf.terms))
@@ -352,6 +354,72 @@ def test_value_of_sums_monomial_normal_forms_as_whole_division_does():
         assert nu.value_of(nu.ring.zero()).is_infinite
 
 
+class _WeightRefined(_Order):
+    """Weight rows compared lexicographically, heavier bigger, ties by
+    degrevlex: the order values were once read under, kept here only as a
+    reference for the canonical lex basis they are read from now."""
+
+    __slots__ = ("rows", "arity")
+
+    def key(self, e):
+        return (tuple(sum(map(mul, r, e)) for r in self.rows),
+                (sum(e), tuple(-x for x in reversed(e))))
+
+
+def _least_weight_under_weight_order(nu, h):
+    order = _WeightRefined(nu.rows, nu.ring.n)
+    nf = normal_form(h, groebner_basis(nu.support.gens, order), order)
+    if nf.is_zero():
+        return Value(None)
+    return Value(min(nu.weight_of_exps(e) for e in nf.terms))
+
+
+def _cusp(a, b):
+    return {"field": "Q", "vars": ["x", "y"], "ideal": [f"y^{a} - x^{b}"],
+            "localize_at": ["x", "y"],
+            "valuation": {"support": [], "weights": {"x": [a], "y": [b]}, "rank": 1}}
+
+
+def _sub_run_scene(gen, weights):
+    # test_pipeline's rank-2 and rank-3 scenes, whose quotient sub-runs
+    # give a support variable a negative column
+    return {"field": "Q", "vars": ["x", "y", "z", "w"], "ideal": [gen],
+            "localize_at": ["x", "y", "z", "w"],
+            "valuation": {"support": [gen], "rank": len(weights["x"]), "weights": weights}}
+
+
+def test_certified_values_do_not_depend_on_the_order(monkeypatch):
+    """Every valuation a run builds whose support lies in a certified class
+    (zero, variables, weight homogeneous) reads, from the canonical lex
+    basis, the values the old weight-refined order reads: such a support is
+    homogeneous, so each weight piece of h reduces in its own weight.  The
+    runs cover F1-F4, the golden traces' cusps and their charts, the cusp
+    (2, 9), and the rank-2 and rank-3 sub-runs."""
+    built = []
+    init = WeightValuation.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(WeightValuation, "__init__", recording)
+    scenes = ["F1", "F2", "F3", "F4", _cusp(2, 3), _cusp(3, 4), _cusp(4, 5), _cusp(2, 9),
+              _sub_run_scene("z^2 - x*y", {"x": [3, 1], "y": [1, 3], "z": [2, 2], "w": [2, 2]}),
+              _sub_run_scene("z^2 - x^3*y", {"x": [0, 2, 0], "z": [0, 3, 1],
+                                             "y": [0, 0, 2], "w": [1, 0, 0]})]
+    for source in scenes:
+        assert run_reduction(*load_scene(source)).verdict == "Uniformized", source
+    checked = [nu for nu in built if support_class(nu) is not None]
+    assert len(checked) > 50
+    assert {support_class(nu) for nu in checked} == {"zero", "variables", "weight-homogeneous"}
+    rng = random.Random(5)
+    for nu in checked:
+        for _ in range(8):
+            f, g = sample_polynomials(nu.ring, rng), sample_polynomials(nu.ring, rng)
+            for h in (f, g, f * g):
+                assert nu.value_of(h) == _least_weight_under_weight_order(nu, h), (nu, h)
+
+
 def test_a_table_hit_still_refuses_another_rings_polynomial():
     """The table is keyed by exponents alone, so a polynomial of another ring
     with the same arity would hit it; value_of must refuse it first."""
@@ -368,17 +436,22 @@ def test_a_table_hit_still_refuses_another_rings_polynomial():
     "support, count, first",
     [
         ("x*y", 18, ("multiplicativity", "-3*x^2", "3*x^3*y - 2*y")),
-        ("y - x^2", 33, ("multiplicativity", "-x*y^2", "3*y - 3*x")),
-        ("y^2 - x^3", 20, ("multiplicativity", "-2*x^2", "x*y^3 + 2*x*y^2 - 3*x^2")),
+        # inhomogeneous, but the canonical lex basis reduces y to x^2, so
+        # the values read are ord_x f(x, x^2): the x-adic valuation of the
+        # parabola, a valuation, though not one the weights name
+        ("y - x^2", 0, None),
+        ("x - y^2", 31, ("multiplicativity", "-2*y^3 - x^4", "-x*y")),
+        ("y^2 - x^3", 27, ("multiplicativity", "-2*y", "x*y + 3*y")),
     ],
 )
 def test_axiom_sampling_finds_violations_on_uncertified_supports(support, count, first):
-    """A reducible or inhomogeneous support breaks the axioms, and the
-    sampler reports it: the counts and first triples seed 7 draws."""
+    """A reducible or inhomogeneous support may break the axioms, and the
+    sampler reports it when it does: the counts and first triples seed 7
+    draws.  Outside the certified classes the values read can depend on
+    the basis's order, so these rows pin the canonical lex one."""
     bad = axiom_violations(_uncertified_valuation(support), count=300, seed=7)
     assert len(bad) == count
-    axiom, f, g = bad[0]
-    assert (axiom, f.text(), g.text()) == first
+    assert _reported(bad[:1]) == ([first] if count else [])
 
 
 def _axiom_violations_by_arithmetic(nu, count, seed):
@@ -408,7 +481,7 @@ def test_axiom_sampling_on_the_table_reports_what_polynomial_arithmetic_does():
     """Same draws, same verdicts, same triples: on F1-F4 and their charts
     (F2's variable support reads many infinite values), on the uncertified
     supports over Q, and on one over GF(7)."""
-    uncertified = [(s, _uncertified_valuation(s)) for s in ("x*y", "y - x^2", "y^2 - x^3")]
+    uncertified = [(s, _uncertified_valuation(s)) for s in ("x*y", "x - y^2", "y^2 - x^3")]
     uncertified.append(("x*y - 1 over GF(7)", _uncertified_valuation("x*y - 1", GF(7))))
     for label, nu in _fixture_and_chart_valuations() + uncertified:
         # a twin with its own table, so neither loop reads the other's entries
