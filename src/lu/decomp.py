@@ -31,14 +31,23 @@ dimensional ideal whose variables have squarefree minimal polynomials is
 radical in characteristic zero (Seidenberg's lemma).
 
 Associated and minimal primes come from one split, `_split_primes`: a
-splitter f gives the checked identity I = (I : f^∞) ∩ (I + (f^n)), and a
-leaf with no splitter yields its radical only when `is_prime` certifies
-that radical, so every prime returned is certified.  A leaf whose radical
-`is_prime` refutes with a witness (g, h) is split at g, and one it cannot
-decide is refused.  `associated_primes` keeps a leaf that some colon (I : c)
-certifies or that is minimal; `minimal_primes` is the minimal leaves of the
-radical's split, with no colon certificate, since a radical ideal has no
-embedded primes.
+splitter f outside rad(I) with (I : f) != I gives the checked identity
+I = (I : f^∞) ∩ (I + (f^n)), both parts strictly larger than I.  A leaf
+whose radical `is_prime` refutes with a witness (g, h) is split at g, and
+one it cannot decide is refused.  A leaf whose radical P is certified prime
+is kept, with P as its one prime, only when it is P-primary: when it is P,
+or when `_primary_splitter`, the complete test of Gianni, Trager and
+Zacharias, finds it primary; otherwise that test's h splits it.  So every
+leaf is primary to a certified prime (or monomial, with its associated
+primes from `_monomial_associated_primes`), and I is their intersection:
+R/I embeds in the product of the leaves' quotients, so every associated
+prime of I is a leaf's.  `associated_primes` keeps a leaf that is minimal,
+hence associated, or that some (I : c) equals.  For a prime Q and c in
+(I : Q), (I : c) = Q exactly when c lies outside I' = I R_Q ∩ R, so if no
+element of the basis of (I : Q) is such a c, (I : Q) lies in I' and no c
+is: the leaf is not associated and is dropped.  `minimal_primes` is the
+minimal leaves of the radical's split, with no colon certificate, since a
+radical ideal has no embedded primes.
 
 `is_prime` and `radical` are `functools.lru_cache`s of the MEMO_CAP most
 recently used ideals.  They are keyed by the canonical reduced basis: an
@@ -52,8 +61,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import CertificationError, LuError, UnsupportedInstance
-from .ideals import MEMO_CAP, Ideal
+from .ideals import MEMO_CAP, Ideal, groebner_basis
 from .lattice import saturation_defect
+from .orders import elimination_order
 from .poly import mono_divides, mono_gcd
 
 PRIME = "prime"
@@ -454,28 +464,31 @@ def _certify_radical(J, zero_dim_reduced):
     raise UnsupportedInstance("radical certificate classes exhausted")
 
 
-def _find_splitter(I, P):
-    """f outside P = rad(I) with (I : f) != I, or None when the search finds
-    none: then I is believed primary, and `_split_primes` takes P as its
-    one prime only once `is_prime` certifies it, and splits at the witness
-    where `is_prime` refutes it."""
+def _primary_splitter(I, P):
+    """h outside the prime P = rad(I) with (I : h) != I, or None when I is
+    P-primary (Gianni, Trager & Zacharias).
+
+    With u a largest independent set modulo P, P extends to a maximal ideal
+    of k(u)[others], so I extends to a primary one.  A basis G of I under
+    lex with the other variables first is a basis of that extension, and
+    with h the product of G's k[u]-leading coefficients, I : h^∞ is the
+    contraction: the P-primary component of I.  h is a nonzero element of
+    k[u], which meets P in 0, so I is primary exactly when I : h = I, that
+    is when I holds the colon's generators (Greuel & Pfister, ch. 4.3).
+    """
     ring = I.ring
-    tried = set()
-    frontier = [ring.var(nm) for nm in sorted(ring.names)]
-    for _ in range(3):
-        mined = []
-        for c in frontier:
-            kt = c.text()
-            if kt in tried or len(tried) > 64:
-                continue
-            tried.add(kt)
-            if P.contains(c):
-                mined.extend(I.colon(c).groebner())
-                continue
-            if I.colon(c) != I:
-                return c
-        frontier = sorted(mined, key=lambda g: g.text())
-    return None
+    u = _independent_set(P)
+    others = [nm for i, nm in enumerate(ring.names) if i not in u]
+    order = elimination_order(ring.names, others)
+    h = ring.one()
+    for g in groebner_basis(I.gens, order):
+        top = g.leading(order)[0]
+        lc = ring.zero()
+        for e, c in g.terms.items():
+            if all(x == top[i] for i, x in enumerate(e) if i not in u):
+                lc = lc + ring.monomial([x if i in u else 0 for i, x in enumerate(e)], c)
+        h = h * lc
+    return None if I.contains_ideal(I.colon(h)) else h
 
 
 def _monomial_associated_primes(I):
@@ -503,10 +516,11 @@ def _monomial_associated_primes(I):
 
 
 def _split_primes(I, depth):
-    """The radicals of the leaves of a verified split of I, each certified
-    prime (a monomial ideal gives its associated primes).  The minimal
-    primes of I are the minimal leaves.  At the top the leaves come unique,
-    sorted by size and then text (a monomial ideal's by text alone)."""
+    """The radicals of the leaves of a verified split of I, each leaf
+    primary to its radical, a certified prime (a monomial leaf gives its
+    associated primes).  The minimal primes of I are the minimal leaves.
+    At the top the leaves come unique, sorted by size and then text (a
+    monomial ideal's by text alone)."""
     if depth > 16:
         raise UnsupportedInstance("associated prime recursion exceeded depth 16")
     if I.is_unit_ideal():
@@ -515,21 +529,20 @@ def _split_primes(I, depth):
     if gb and _is_monomial_gb(gb):
         return _monomial_associated_primes(I)
     P = radical(I)
-    if P == I and is_prime(P).is_prime:
-        return [P]
-    f = _find_splitter(I, P)
-    if f is None:
-        verdict = is_prime(P)
-        if verdict.is_prime:
+    verdict = is_prime(P)
+    if verdict.is_prime:
+        f = None if P == I else _primary_splitter(I, P)
+        if f is None:
             return [P]
-        if not verdict.witness:
-            raise UnsupportedInstance(
-                f"cannot split ({', '.join(P.canonical_strings())}) into primes: "
-                f"{verdict.verdict}, {verdict.reason}"
-            )
+    elif verdict.witness:
         # g, h outside P with g*h in P: some g^m*h^m lies in I and h^m does
         # not, so (I : g) != I and g splits I
         f = verdict.witness[0]
+    else:
+        raise UnsupportedInstance(
+            f"cannot split ({', '.join(P.canonical_strings())}) into primes: "
+            f"{verdict.verdict}, {verdict.reason}"
+        )
     sat, n = I.saturation(f)
     other = I + [f**max(n, 1)]
     if sat.intersect(other) != I:
@@ -550,31 +563,25 @@ def _minimal(Q, primes):
 def associated_primes(I):
     """The associated primes of R/I, each one witness-certified.
 
-    The leaves of `_split_primes` are the candidates.  One survives when
-    some colon (I : c) equals it exactly, or when it is minimal over I (then
-    the verified split already forces it to be associated).
+    The leaves of `_split_primes` are the candidates, and they hold every
+    associated prime.  One survives when it is minimal over I (then the
+    verified split already forces it to be associated), or when some colon
+    (I : c) equals it exactly; one with neither is not associated.
     """
     candidates = _split_primes(I, 0)
     gb = I.groebner()
     if gb and _is_monomial_gb(gb):
         return candidates
-    for Q in candidates:
-        if not _minimal(Q, candidates) and _certify_associated(I, Q) is None:
-            raise UnsupportedInstance(
-                "embedded prime candidate resisted witness certification"
-            )
-    return candidates
+    return [
+        Q for Q in candidates
+        if _minimal(Q, candidates) or _certify_associated(I, Q) is not None
+    ]
 
 
 def _certify_associated(I, Q):
-    """Some c with (I : c) == Q, or None."""
-    colon_q = I.colon_ideal(Q)
-    cands = list(colon_q.groebner())
-    for c in cands:
-        if I.colon(c) == Q:
-            return c
-    for a, b in combinations(cands, 2):
-        c = a + b
+    """An element c of the basis of (I : Q) with (I : c) == Q, or None,
+    which says Q is not associated to I."""
+    for c in I.colon_ideal(Q).groebner():
         if I.colon(c) == Q:
             return c
     return None
@@ -585,19 +592,19 @@ def minimal_primes(I):
 
     A radical ideal has no embedded primes, and a leaf whose radical is a
     certified prime has exactly that one minimal prime, so no colon
-    certificate is needed, even where the splitter search is incomplete.
+    certificate is needed.
     """
     leaves = _split_primes(radical(I), 0)
     return [Q for Q in leaves if _minimal(Q, leaves)]
 
 
-def krull_dimension(I):
-    """Dimension of R/I via the combinatorial rule on the initial ideal."""
+def _independent_set(I):
+    """A largest set of variable indices that holds the support of no
+    leading monomial of I's basis, or None for the unit ideal.  Its size is
+    dim R/I, and no nonzero polynomial in its variables lies in I."""
     ring = I.ring
     if ring.n > 16:
         raise UnsupportedInstance("dimension enumeration capped at 16 variables")
-    if I.is_unit_ideal():
-        return -1
     supports = [
         frozenset(i for i, x in enumerate(g.leading()[0]) if x) for g in I.groebner()
     ]
@@ -605,7 +612,14 @@ def krull_dimension(I):
         for S in combinations(range(ring.n), size):
             sset = set(S)
             if all(not sup <= sset for sup in supports):
-                return size
+                return S
+    return None
+
+
+def krull_dimension(I):
+    """Dimension of R/I via the combinatorial rule on the initial ideal."""
+    S = _independent_set(I)
+    return -1 if S is None else len(S)
 
 
 def local_dimension(I, center):

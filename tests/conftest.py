@@ -62,8 +62,8 @@ def chart_like_ideal(rng, R, f=None):
     return Ideal(R, gens)
 
 
-# The node y^2 = x^2 at the origin.  No splitter separates its two lines;
-# the primality witness of its radical does.
+# The node y^2 = x^2 at the origin.  Its radical is itself and not prime;
+# the split at the primality witness of that radical separates its two lines.
 NODE_SCENE = {
     "field": "Q",
     "vars": ["x", "y"],

@@ -259,6 +259,24 @@ def test_the_node_splits_at_its_minimal_primes(tmp_path, capsys):
     assert "radical certificate classes exhausted" in capsys.readouterr().err
 
 
+def test_the_complete_intersection_drops_its_unassociated_candidate(tmp_path, capsys):
+    """(x^2, x*y + x*z + y*z) has the associated primes (x, y) and (x, z):
+    the split's primary leaf at (x, y, z) has no colon witness, so step 1
+    counts two primes, blows one up, and the trace replays."""
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps({
+        "field": "Q", "vars": ["x", "y", "z"], "ideal": ["x^2", "x*y + x*z + y*z"],
+        "localize_at": ["x", "y", "z"],
+        "valuation": {"support": ["x", "y"], "rank": 1, "weights": {"z": [1]}},
+    }))
+    trace = tmp_path / "ci-trace.json"
+    assert main(["run", str(path), "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "ass-prime: b=z a=[x] ass_after=1 ass_before=2 stabilization_N=2" in out
+    assert "verdict: Uniformized" in out
+    assert lu.scenes.replay_trace(str(path), trace.read_text()) == []
+
+
 def test_check_certifies_the_scene_over_the_square_root_of_two(tmp_path, capsys):
     path = tmp_path / "sqrt2.json"
     path.write_text(json.dumps(SQRT2_SCENE))

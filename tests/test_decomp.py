@@ -172,33 +172,38 @@ def test_local_dimension_refuses_a_center_off_the_ideal_or_its_primes(xy):
         local_dimension(ideal(xy, "x*y"), ideal(xy, "x*y"))
 
 
-def test_an_embedded_candidate_without_a_colon_witness_is_refused(monkeypatch):
+def test_a_candidate_without_a_colon_witness_is_dropped():
     """(x^2, x*y + x*z + y*z) is a complete intersection, so it has no
-    embedded prime; but the split's branch I + (f^N) leaves the candidate
-    (x, y, z).  (I : (x, y, z)) is I itself, so no basis element of it and
-    no pair sum of two (the fallback runs) is a witness, and the candidate
-    is refused rather than returned."""
+    embedded prime; but the split's branch I + (f^N) leaves the primary
+    candidate (x, y, z).  Every leaf is primary, so the leaves hold every
+    associated prime, and (I : (x, y, z)) is I itself: no basis element of
+    it is a witness, so the candidate is not associated and is dropped."""
     R = ring("x", "y", "z")
     I = ideal(R, "x^2", "x*y + x*z + y*z")
     leaves = [q.canonical_strings() for q in decomp._split_primes(I, 0)]
     assert leaves == [["y", "x"], ["z", "x"], ["z", "y", "x"]]
-    asked = []
-    colon = Ideal.colon
+    assert decomp._certify_associated(I, ideal(R, "x", "y", "z")) is None
+    got = [q.canonical_strings() for q in associated_primes(I)]
+    assert got == [["y", "x"], ["z", "x"]]
 
-    def recording(J, f):
-        if J is I:
-            asked.append(f.text())
-        return colon(J, f)
 
-    monkeypatch.setattr(Ideal, "colon", recording)
-    with pytest.raises(UnsupportedInstance, match="embedded prime candidate resisted"):
-        associated_primes(I)
-    assert asked[-1] == parse_poly(R, "y*z + x*z + x*y + x^2").text()
+def test_the_primary_splitter_certifies_primary_leaves(xy, uxy):
+    """Gianni, Trager & Zacharias: None for a primary ideal, else an h
+    outside the radical that is a zero divisor modulo the ideal."""
+    assert decomp._primary_splitter(ideal(xy, "x^2", "y"), ideal(xy, "x", "y")) is None
+    assert decomp._primary_splitter(ideal(xy, "x"), ideal(xy, "x")) is None
+    I, P = ideal(xy, "x^2", "x*y"), ideal(xy, "x")
+    assert radical(I) == P
+    h = decomp._primary_splitter(I, P)
+    assert h == parse_poly(xy, "y")
+    assert not P.contains(h) and I.colon(h) != I
+    S = decomp._independent_set(ideal(uxy, "u*y - x^2"))
+    assert len(S) == 2 == krull_dimension(ideal(uxy, "u*y - x^2"))
 
 
 def test_the_node_splits_at_its_primality_witness(xy):
-    """No splitter is found for (x^2 - y^2), but `is_prime` refutes it with
-    a witness, and the split at that witness gives the two lines."""
+    """`is_prime` refutes the radical (x^2 - y^2) with a witness, and the
+    split at that witness gives the two lines."""
     for primes in (associated_primes, minimal_primes):
         got = [q.canonical_strings() for q in primes(ideal(xy, "x^2 - y^2"))]
         assert got == [["y + x"], ["y - x"]]

@@ -292,7 +292,7 @@ def test_kernel_work_per_fixture_is_pinned(monkeypatch):
     monkeypatch.setattr(ideals, "_Meter", Recording)
     expected = {
         "F1": (19, 23, 4),
-        "F2": (50, 333, 106),
+        "F2": (45, 303, 88),
         "F3": (19, 13, 13),
         "F4": (2, 0, 0),
     }

@@ -25,11 +25,11 @@ from unittest import mock
 import pytest
 from conftest import COTANGENT_SCENES, chart_like_ideal, cotangent_rings
 from test_blowup import _golden_runs
-from test_decomp import CASCADE, _cascade_ideal
+from test_decomp import CASCADE, EXHAUSTED, UNSATURATED, _cascade_ideal
 
 from lu import localring, pipeline
 from lu.blowup import local_blowup, transport_through_blowup
-from lu.decomp import minimal_polynomial, minimal_primes, radical
+from lu.decomp import associated_primes, minimal_polynomial, minimal_primes, radical
 from lu.errors import LuError
 from lu.fields import GF, QQ
 from lu.ideals import Ideal, buchberger
@@ -303,6 +303,40 @@ def test_minimal_primes_are_the_irreducible_factors_or_a_refusal(text):
     except LuError:
         return
     assert got == want
+
+
+def test_associated_primes_of_complete_intersections_of_linear_forms():
+    """(f, g) with f and g products of powers of linear forms.  When each
+    pair (l, m) of a factor l of f and m of g spans two dimensions, f and g
+    are coprime, so (f, g) is a complete intersection and unmixed
+    (Macaulay's unmixedness theorem): its associated primes are exactly the
+    distinct (l, m).  The answer is that set or one of the radical's
+    refusals, never a candidate refused for want of a colon witness."""
+    forms = ["x", "y", "z", "x - y", "y - z", "x - z"]
+    R = PolyRing(QQ, ("x", "y", "z"))
+    rng = random.Random(7)
+    seen = {"right": 0, EXHAUSTED: 0, UNSATURATED: 0}
+    for _ in range(300):
+        fs, gs = ([(parse_poly(R, rng.choice(forms)), rng.randint(1, 2))
+                   for _ in range(rng.randint(1, 2))] for _ in "fg")
+        pairs = [Ideal(R, [l, m]) for l, _ in fs for m, _ in gs]
+        if any(len(P.groebner()) != 2 for P in pairs):
+            continue
+        f = g = R.one()
+        for l, k in fs:
+            f = f * l**k
+        for m, k in gs:
+            g = g * m**k
+        want = sorted({tuple(P.canonical_strings()) for P in pairs})
+        try:
+            got = [tuple(q.canonical_strings()) for q in associated_primes(Ideal(R, [f, g]))]
+        except LuError as exc:
+            assert str(exc) in seen, (f.text(), g.text(), str(exc))
+            seen[str(exc)] += 1
+            continue
+        assert sorted(got) == want, (f.text(), g.text())
+        seen["right"] += 1
+    assert sum(seen.values()) == 211 and seen["right"] > 0, seen
 
 
 # Embedding dimension by the Jacobian criterion (Eisenbud, *Commutative
