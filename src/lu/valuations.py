@@ -35,11 +35,21 @@ distinct monomial passed in: for `axiom_violations`, whose samples have
 degree at most 4, that is at most C(n + 8, n) entries, the monomials of
 degree at most 8 that a product of two samples reaches.
 
-`axiom_violations` reads the same table without building a product.  Per
-sample it sums NF(f) and NF(g) once each, reads v(f + g) from the merge of
-those two sums, since NF(f + g) = NF(f) + NF(g), and v(f * g) from the
-table sum over the product's terms, multiplied out as exponent ->
-coefficient pairs: NF(f * g) = sum c_a c_b NF(x^(a + b)).
+`axiom_violations` reads the same table without building a product, on
+samples drawn packed: a monomial x^e is the one int sum(e_i * 9**i).  A
+sample's exponents are at most 4, so a product's are at most 8, below the
+base: no digit carries, and the key of x^a * x^b is the sum of their keys.
+An index that lives for one call maps each key to NF(x^e) as (slot,
+coefficient) pairs, a slot being a small int naming one normal-form
+monomial, with the weight vectors in a list.  A key the index misses is
+unpacked and read from the valuation's table, or divided into it, as
+value_of does, so the table gets exactly the entries that value_of(f),
+value_of(g) and value_of(f * g) would add.  Per sample it sums NF(f) and
+NF(g) once each, reads v(f + g) from the merge of those two sums, since
+NF(f + g) = NF(f) + NF(g), and v(f * g) from the sum over the product's
+terms, multiplied out by adding keys: NF(f * g) = sum c_a c_b
+NF(x^(a + b)).  f and g become Polynomials only when a violation is
+reported.
 """
 
 from functools import cache
@@ -331,11 +341,15 @@ def _sample_coefficients(F):
     return tuple(F.coerce(c) for c in range(-3, 4))
 
 
-def sample_polynomials(ring, rng):
-    """One nonzero polynomial with small random support; deterministic per rng.
+def _packed_samples(ring, rng):
+    """Nonzero random polynomials of ring, each as {key: coeff} in draw order.
 
-    Each of up to 4 terms gets up to 4 variable factors and a coefficient
-    in [-3, 3]; terms that land on one monomial are summed.
+    A monomial x^e is packed into the one int key sum(e_i * 9**i).  Each
+    of up to 4 terms gets up to 4 variable factors, so every exponent of a
+    sample is at most 4 and every exponent of a product of two samples at
+    most 8: below the base, so the key of x^a * x^b is key(a) + key(b),
+    with no carry.  Each term gets a coefficient in [-3, 3]; terms that land
+    on one monomial are summed, and one that cancels is dropped.
 
     The draws are those of rng.randint(1, 4) for the term count,
     rng.randint(0, 4) per term for its factor count, rng.randrange(n) per
@@ -344,23 +358,24 @@ def sample_polynomials(ring, rng):
     getrandbits(m.bit_length()) until it is below the range's width m.  So
     a seed gives the same polynomials as those methods would, at a fraction
     of the calls.  A ring with no variables (width 0) would never be left,
-    and is refused first.
+    and is refused at the first sample, before any draw.
     """
     n = ring.n
     if n < 1:
         raise LuError("cannot sample polynomials in a ring with no variables")
     F = ring.field
-    zero = F.zero
+    fadd, zero = F.add, F.zero
     coeffs = _sample_coefficients(F)
     bits = rng.getrandbits
     k_var = n.bit_length()
+    place = [9**i for i in range(n)]
     while True:
         t = {}
         r = bits(3)  # randint(1, 4) - 1: 4 values, 3 bits
         while r >= 4:
             r = bits(3)
         for _ in range(r + 1):
-            e = [0] * n
+            k = 0
             d = bits(3)  # randint(0, 4): 5 values, 3 bits
             while d > 4:
                 d = bits(3)
@@ -368,20 +383,34 @@ def sample_polynomials(ring, rng):
                 i = bits(k_var)  # randrange(n)
                 while i >= n:
                     i = bits(k_var)
-                e[i] += 1
-            e = tuple(e)
+                k += place[i]
             c = bits(3)  # randint(-3, 3) + 3: 7 values, 3 bits
             while c >= 7:
                 c = bits(3)
             c = coeffs[c]
-            if e in t:
-                c = F.add(t[e], c)
+            if k in t:
+                c = fadd(t[k], c)
             if c == zero:
-                t.pop(e, None)
+                t.pop(k, None)
             else:
-                t[e] = c
+                t[k] = c
         if t:
-            return Polynomial(ring, t)
+            yield t
+
+
+def _unpack(k, n):
+    """The exponent tuple of the packed key k, in n variables."""
+    e = []
+    for _ in range(n):
+        k, d = divmod(k, 9)
+        e.append(d)
+    return tuple(e)
+
+
+def _as_polynomial(ring, sample):
+    """A packed sample as a Polynomial of ring, its terms in the same order."""
+    n = ring.n
+    return Polynomial(ring, {_unpack(k, n): c for k, c in sample.items()})
 
 
 def axiom_violations(nu, count=200, seed=0xC0FFEE):
@@ -390,58 +419,91 @@ def axiom_violations(nu, count=200, seed=0xC0FFEE):
     Distinct values sharpen the inequality to an equality, and that is
     checked too.  Returns a list of (axiom, f, g) triples that failed;
     empty means the sample saw no violation.  A negative count is a
-    LuError: a check that cannot run must not read as a pass.
+    LuError: a check that cannot run must not read as a pass, and a ring
+    with no variables is refused at the first sample.
 
-    Every value comes from nu's table of monomial normal forms, and no
-    product or sum polynomial and no Value is built.  Each sample sums
-    NF(f) and NF(g) once; v(f + g) is read from the merge of the two sums,
-    and v(f * g) from the table sum over the product's terms, multiplied
-    out as an exponent -> coefficient dict with cancelled terms dropped,
-    so the table gets the entries that value_of(f * g) would add.  Samples
-    have degree at most 4, so a product's exponents stay at most 8, far
-    below EXP_CAP, and are not checked against it.  Values compare as
-    weight tuples with None for infinity, under Value's rules: infinity is
-    largest, and min keeps the first of two equal values.  f and g stay
-    Polynomials only to be reported.
+    Samples are drawn packed (see _packed_samples and the module
+    docstring): the product's terms are multiplied out by adding keys, with
+    cancelled terms dropped, and its exponents stay at most 8, far below
+    EXP_CAP, so they are not checked against it.  The index from keys to
+    (slot, coeff) rows lives for this call only; nu's table gets exactly
+    the entries that value_of(f), value_of(g) and value_of(f * g) would
+    add, each with one Ideal.normal_form.  No product or sum polynomial
+    and no Value is built.  Values compare as weight tuples with None for
+    infinity, under Value's rules: infinity is largest, and min keeps the
+    first of two equal values.  f and g become Polynomials only when a
+    violation is reported.
     """
     if count < 0:
         raise LuError(f"the sample count must be nonnegative, got {count}")
     ring = nu.ring
+    n = ring.n
     F = ring.field
-    fadd, fmul, zero = F.add, F.mul, F.zero
-    nf, least = nu._normal_form_terms, nu._least_weight
+    fadd, fmul, zero, one = F.add, F.mul, F.zero, F.one
+    table, divide = nu._monomial_nf, nu._divide_monomial
+    index = {}  # key -> NF(x^e) as ((slot, coeff), ...)
+    slots = {}  # exps -> slot
+    weights = []  # slot -> weight vector
+
+    def nf(sample):
+        acc = {}
+        for k, c in sample.items():
+            row = index.get(k)
+            if row is None:
+                e = _unpack(k, n)
+                terms = table.get(e)
+                if terms is None:
+                    terms = table[e] = divide(e)
+                row = []
+                for e2, c2 in terms:
+                    s = slots.get(e2)
+                    if s is None:
+                        s = slots[e2] = len(weights)
+                        weights.append(nu._weight[e2])
+                    row.append((s, c2))
+                row = index[k] = tuple(row)
+            for s, c2 in row:
+                # most monomials are their own normal form, with coefficient one
+                c2 = c if c2 == one else fmul(c, c2)
+                acc[s] = fadd(acc[s], c2) if s in acc else c2
+        return acc
+
+    def least(acc):
+        left = [weights[s] for s, c in acc.items() if c != zero]
+        return min(left) if left else None
+
     # imported here, not with the module: only sampling needs it, and
     # `import lu` is paid by every run
     import random
 
-    rng = random.Random(seed)
+    draw = _packed_samples(ring, random.Random(seed))
     bad = []
     for _ in range(count):
-        f = sample_polynomials(ring, rng)
-        g = sample_polynomials(ring, rng)
-        nf_f, nf_g = nf(f.terms), nf(g.terms)
+        f = next(draw)
+        g = next(draw)
+        nf_f, nf_g = nf(f), nf(g)
         vf, vg = least(nf_f), least(nf_g)
         fg = {}
-        for ea, ca in f.terms.items():
-            for eb, cb in g.terms.items():
-                e = tuple(map(add, ea, eb))
+        for ka, ca in f.items():
+            for kb, cb in g.items():
+                k = ka + kb
                 c = fmul(ca, cb)
-                if e in fg:
-                    c = fadd(fg[e], c)
+                if k in fg:
+                    c = fadd(fg[k], c)
                     if c == zero:
-                        del fg[e]
+                        del fg[k]
                         continue
-                fg[e] = c
+                fg[k] = c
         v_sum = None if vf is None or vg is None else tuple(map(add, vf, vg))
         if least(nf(fg)) != v_sum:
             bad.append(("multiplicativity", f, g))
         merged = dict(nf_f)
-        for e, c in nf_g.items():
-            merged[e] = fadd(merged[e], c) if e in merged else c
+        for s, c in nf_g.items():
+            merged[s] = fadd(merged[s], c) if s in merged else c
         vs = least(merged)
         low = vg if vg is not None and (vf is None or vg < vf) else vf
         if vs is not None and (low is None or vs < low):
             bad.append(("ultrametric", f, g))
         elif vf != vg and vs != low:
             bad.append(("ultrametric-strict", f, g))
-    return bad
+    return [(axiom, _as_polynomial(ring, f), _as_polynomial(ring, g)) for axiom, f, g in bad]

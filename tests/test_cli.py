@@ -315,6 +315,22 @@ def test_a_support_with_zero_divisors_exits_1_with_its_witness(tmp_path, capsys)
     )
 
 
+def test_a_unit_support_is_an_input_error_to_check_and_a_refusal_to_run(tmp_path, capsys):
+    """certify's second check: `lu check` exits 1 on it, `lu run` reports
+    it as its verdict's reason and exits 2."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({
+        "field": "Q", "vars": ["x", "y"], "ideal": ["y^2 - x^3"],
+        "localize_at": ["x", "y"],
+        "valuation": {"support": ["1"], "weights": {"x": [2], "y": [3]}, "rank": 1},
+    }))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: support is the unit ideal\n"
+    assert main(["run", str(path)]) == 2
+    assert "verdict: Unsupported (support is the unit ideal)" in (
+        capsys.readouterr().out.splitlines())
+
+
 @pytest.mark.parametrize("center, witness", [("x^2 - 1", "(x - 1)*(x + 1)"),
                                              ("x^2 - 4", "(x + 2)*(x - 2)")])
 def test_a_center_that_is_not_prime_exits_1_with_its_witness(tmp_path, capsys, center,

@@ -13,6 +13,7 @@ from conftest import scene
 
 from lu.blowup import local_blowup, transport_through_blowup
 from lu.errors import (
+    CertificationError,
     InitialIdealNotPrime,
     LuError,
     NotCentered,
@@ -34,7 +35,6 @@ from lu.valuations import (
     center_ideal,
     certify,
     decompose,
-    sample_polynomials,
     support_class,
 )
 
@@ -224,6 +224,16 @@ def test_decompose_splits_the_rows():
     assert rest.value_of(u).is_infinite
 
 
+def test_certify_refuses_a_support_that_misses_the_defining_ideal():
+    """A scene cannot reach this: its loader adds the defining ideal to
+    the support."""
+    R = PolyRing(QQ, ["x", "y"])
+    nu = WeightValuation(R, Ideal(R, [R.var("x")]), [(2, 3)])
+    defining = Ideal(R, [parse_poly(R, "y^2 - x^3")])
+    with pytest.raises(CertificationError, match="support does not contain the defining ideal"):
+        certify(nu, defining, Ideal(R, [R.var("x"), R.var("y")]))
+
+
 def test_decompose_refuses_a_rank_one_valuation():
     _, nu = _cusp_scene()
     with pytest.raises(UnsupportedInstance, match="rank at least two"):
@@ -250,6 +260,13 @@ def test_truncation_commutes_with_the_split():
     for _ in range(40):
         f = sample_polynomials(nu.ring, rng)
         assert first.value_of(f) == nu.value_of(f).truncate(1)
+
+
+def sample_polynomials(ring, rng):
+    """One nonzero polynomial with small random support; deterministic per
+    rng.  The package draws its samples packed, as int keys, and builds a
+    Polynomial only to report one; this reads the same stream unpacked."""
+    return valuations._as_polynomial(ring, next(valuations._packed_samples(ring, rng)))
 
 
 def _reference_sample(ring, rng, max_deg=4, max_terms=4):
@@ -494,6 +511,42 @@ def test_axiom_sampling_on_the_table_reports_what_polynomial_arithmetic_does():
             assert bool(want) == ((label, nu) in uncertified), (label, seed)
 
 
+def test_packed_sampling_reports_what_polynomial_arithmetic_does_in_many_variables(
+        monkeypatch):
+    """Base-9 keys in rings of 2 to 8 variables: every valuation that a run
+    of the cusp y^2 - x^13 builds, through its six charts, and that the
+    rank-3 sub-run scene builds.  Each side reads a fresh table, so neither
+    sees the run's entries or the other's."""
+    built = []
+    init = WeightValuation.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(WeightValuation, "__init__", recording)
+    for source in (_cusp(2, 13), _sub_run_scene("z^2 - x^3*y", {"x": [0, 2, 0], "z": [0, 3, 1],
+                                                               "y": [0, 0, 2], "w": [1, 0, 0]})):
+        assert run_reduction(*load_scene(source)).verdict == "Uniformized", source
+    monkeypatch.undo()
+    assert {nu.ring.n for nu in built} == set(range(2, 9))
+    assert 3 in {nu.rank for nu in built}
+    for nu in built:
+        mine, twin = (WeightValuation(nu.ring, nu.support, nu.rows) for _ in range(2))
+        want = _reported(_axiom_violations_by_arithmetic(twin, 100, 7))
+        assert _reported(axiom_violations(mine, count=100, seed=7)) == want, nu
+        assert mine._monomial_nf.keys() == twin._monomial_nf.keys(), nu
+
+
+def test_axiom_sampling_refuses_a_ring_without_variables_before_any_draw():
+    """No sample, no refusal: the guard sits at the first sample."""
+    R = PolyRing(QQ, [])
+    nu = WeightValuation(R, Ideal(R, []), [()])
+    assert axiom_violations(nu, count=0) == []
+    with pytest.raises(LuError, match="no variables"):
+        axiom_violations(nu, count=1)
+
+
 @pytest.mark.parametrize("builder", [lambda: load_scene("F3"), _cusp_scene], ids=["F3", "cusp"])
 def test_axiom_sampling_builds_no_product_and_divides_each_monomial_once(builder, monkeypatch):
     """No Polynomial product or sum inside the loop, one Ideal.normal_form
@@ -523,7 +576,8 @@ def test_a_product_term_that_cancels_is_never_divided(monkeypatch):
     table entry, just as value_of(f * g) never reads it."""
     _, nu = _cusp_scene()
     x, y = nu.ring.var("x"), nu.ring.var("y")
-    drawn = iter([x + y, x - y])
-    monkeypatch.setattr(valuations, "sample_polynomials", lambda ring, rng: next(drawn))
+    drawn = [{1: 1, 9: 1}, {1: 1, 9: -1}]  # packed, key sum(e_i * 9**i)
+    assert [valuations._as_polynomial(nu.ring, s) for s in drawn] == [x + y, x - y]
+    monkeypatch.setattr(valuations, "_packed_samples", lambda ring, rng: iter(drawn))
     assert axiom_violations(nu, count=1) == []
     assert set(nu._monomial_nf) == {(1, 0), (0, 1), (2, 0), (0, 2)}
