@@ -39,13 +39,15 @@ is kept, with P as its one prime, only when it is P-primary: when it is P,
 or when `_primary_splitter`, the complete test of Gianni, Trager and
 Zacharias, finds it primary; otherwise that test's h splits it.  So every
 leaf is primary to a certified prime (or monomial, with its associated
-primes from `_monomial_associated_primes`), and I is their intersection:
-R/I embeds in the product of the leaves' quotients, so every associated
-prime of I is a leaf's.  `associated_primes` keeps a leaf that is minimal,
-hence associated, or that some (I : c) equals.  For a prime Q and c in
-(I : Q), (I : c) = Q exactly when c lies outside I' = I R_Q ∩ R, so if no
-element of the basis of (I : Q) is such a c, (I : Q) lies in I' and no c
-is: the leaf is not associated and is dropped.  `minimal_primes` is the
+primes from `_monomial_associated_primes`: the variable ideals of its
+irredundant irreducible components, found from its minimal generators by
+combinatorics alone, with no colon, no basis and no cap), and I is their
+intersection: R/I embeds in the product of the leaves' quotients, so every
+associated prime of I is a leaf's.  `associated_primes` keeps a leaf that
+is minimal, hence associated, or that some (I : c) equals.  For a prime Q
+and c in (I : Q), (I : c) = Q exactly when c lies outside I' = I R_Q ∩ R,
+so if no element of the basis of (I : Q) is such a c, (I : Q) lies in I'
+and no c is: the leaf is not associated and is dropped.  `minimal_primes` is the
 minimal leaves of the radical's split, with no colon certificate, since a
 radical ideal has no embedded primes.
 
@@ -64,7 +66,7 @@ from .errors import CertificationError, LuError, UnsupportedInstance
 from .ideals import MEMO_CAP, Ideal, groebner_basis
 from .lattice import saturation_defect
 from .orders import elimination_order
-from .poly import mono_divides, mono_gcd
+from .poly import mono_div, mono_divides, mono_gcd
 
 PRIME = "prime"
 NOT_PRIME = "not-prime"
@@ -492,26 +494,45 @@ def _primary_splitter(I, P):
 
 
 def _monomial_associated_primes(I):
-    """Complete path for monomial ideals: colons by divisors of the lcm."""
-    gb = I.groebner()
-    lcm = None
-    for g in gb:
-        e = next(iter(g.terms))
-        lcm = e if lcm is None else tuple(max(a, b) for a, b in zip(lcm, e))
-    total = 1
-    for x in lcm:
-        total *= x + 1
-        if total > 4096:
-            raise UnsupportedInstance("monomial lcm has too many divisors")
+    """Complete path for monomial ideals: the variable ideals of the
+    irredundant irreducible components (Herzog & Hibi, Monomial Ideals,
+    §1.3; Miller & Sturmfels, ch. 5).
+
+    The minimal generators, I's reduced basis, split at a mixed one
+    x_i^a * m, m != 1 free of x_i: I = (I + (x_i^a)) ∩ (I + (m)), since the
+    two are coprime, and both parts are strictly larger.  The split repeats
+    until every generator is a pure power, an irreducible leaf.  An
+    irreducible ideal Q holding an intersection of irreducibles holds one of
+    them (the lcm of their generators outside Q would lie in it), so the
+    distinct leaves that contain no other are an irredundant primary
+    decomposition of I.  Their variable ideals are its associated primes,
+    found with no colon and no basis.
+    """
     ring = I.ring
-    out = {}
-    for e in product(*[range(x + 1) for x in lcm]):
-        c = ring.monomial(e)
-        Q = I.colon(c)
-        if Q.is_unit_ideal():
+    leaves = set()
+    todo = [frozenset(next(iter(g.terms)) for g in I.groebner())]
+    while todo:
+        gens = todo.pop()
+        mixed = next((e for e in gens if sum(x > 0 for x in e) > 1), None)
+        if mixed is None:
+            leaves.add(gens)
             continue
-        if is_variable_gb(Q.groebner()):
-            out[Q.groebner()] = Q
+        i = next(k for k, x in enumerate(mixed) if x)
+        pure = tuple(x if k == i else 0 for k, x in enumerate(mixed))
+        for part in (pure, mono_div(mixed, pure)):
+            todo.append(frozenset(e for e in gens if not mono_divides(part, e)) | {part})
+    out = {}
+    for A in leaves:
+        # A contains B when each pure power of B is divisible by one of A's
+        if not any(
+            B != A and all(any(mono_divides(a, b) for a in A) for b in B) for B in leaves
+        ):
+            support = frozenset(k for e in A for k, x in enumerate(e) if x)
+            xs = [ring.var(ring.names[k]) for k in support]
+            # the reduced basis of a variable ideal: its variables, biggest first
+            xs.sort(key=lambda x: ring.canonical.key(x.leading()[0]), reverse=True)
+            Q = out[support] = Ideal(ring, xs)
+            Q._gb = Q.gens
     return sorted(out.values(), key=Ideal.canonical_strings)
 
 

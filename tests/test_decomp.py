@@ -1,12 +1,16 @@
+import random
+from itertools import product
+
 import pytest
 
-from lu import decomp
+from lu import decomp, ideals
 from lu.decomp import (
     NOT_PRIME,
     PRIME,
     UNKNOWN,
     associated_primes,
     is_prime,
+    is_variable_gb,
     krull_dimension,
     local_dimension,
     minimal_primes,
@@ -131,6 +135,51 @@ def test_associated_primes_frozen(xy):
     I = ideal(ring("x", "y", "z"), "x^2", "x*y", "y - z")
     got = [q.canonical_strings() for q in associated_primes(I)]
     assert got == [["z - y", "x"], ["z", "y", "x"]]
+
+
+def _monomial_primes_by_colons(I):
+    """The associated primes of a monomial ideal as the variable ideals
+    among the colons (I : c), c running over the divisors of the lcm of
+    its generators."""
+    exps = [next(iter(g.terms)) for g in I.groebner()]
+    lcm = tuple(map(max, zip(*exps)))
+    out = {}
+    for e in product(*[range(x + 1) for x in lcm]):
+        Q = I.colon(I.ring.monomial(e))
+        if not Q.is_unit_ideal() and is_variable_gb(Q.groebner()):
+            out[Q.groebner()] = Q
+    return sorted(out.values(), key=Ideal.canonical_strings)
+
+
+def test_monomial_associated_primes_agree_with_the_colons_by_divisor():
+    """The irreducible decomposition gives the primes the colon search
+    finds, in any field and any naming of the variables, and each prime's
+    seeded basis is the one the engine computes."""
+    rng = random.Random(33)
+    rings = [ring("x", "y", "z"), ring("x", "y", "z", "w", field=GF(7)),
+             ring("z", "a", "y", "b")]
+    compared = 0
+    for _ in range(60):
+        R = rng.choice(rings)
+        gens = [R.monomial([rng.randrange(4) for _ in R.names])
+                for _ in range(rng.randrange(1, 5))]
+        I = Ideal(R, gens)
+        if I.is_unit_ideal():
+            continue
+        got = decomp._monomial_associated_primes(I)
+        for Q in got:
+            assert Q.groebner() == ideals.buchberger(Q.gens, R.canonical)
+        want = _monomial_primes_by_colons(I)
+        assert [Q.canonical_strings() for Q in got] == [Q.canonical_strings() for Q in want]
+        compared += 1
+    assert compared >= 50
+
+
+def test_a_fat_axis_with_a_large_lcm_has_its_primes(xy):
+    """(x^70, x*y^70): the lcm x^70*y^70 has 5041 divisors, and the
+    decomposition (x) ∩ (x^70, y^70) needs none of them."""
+    got = [q.canonical_strings() for q in associated_primes(ideal(xy, "x^70", "x*y^70"))]
+    assert got == [["x"], ["y", "x"]]
 
 
 def test_intersection_of_associated_primes_is_the_radical(xy):

@@ -19,7 +19,7 @@ from lu.pipeline import (
     step3,
     toric_uniformizer,
 )
-from lu.scenes import load_scene, replay_trace, trace_to_json
+from lu.scenes import load_scene, replay_trace, scene_from_dict, trace_to_json
 
 
 def _step(fn, local, nu):
@@ -164,6 +164,34 @@ def test_toric_uniformizer_pairs_one_finite_variable_with_the_support():
     local, nu = scene(["x"], [], ["x"], [], {"x": (1,)}, 1)
     with pytest.raises(UnsupportedInstance,
                        match="^no second variable for the descent pair$"):
+        toric_uniformizer(local, nu)
+
+
+@pytest.mark.parametrize(
+    "gens, rank, weights, message",
+    [
+        (["y^2 - x^3"], 2, {"x": [2, 0], "y": [3, 1]},
+         "the descent oracle needs a rank one valuation"),
+        (["y^2 - x^3 - x^2*y"], 1, {"x": [2], "y": [3]},
+         "descent handles zero, monomial, or binomial presentations"),
+        (["y^2 - x^3"], 1, {"x": [1], "y": [1]},
+         "binomial presentation is not weight homogeneous"),
+        (["y^2 - x^2"], 1, {"x": [1], "y": [1]},
+         "binomial presentation is not prime"),
+        ([], 1, {"x": [0], "y": [0]},
+         "no variable of positive finite value to divide"),
+    ],
+)
+def test_toric_uniformizer_refuses_what_the_descent_cannot_take(gens, rank, weights, message):
+    """The oracle's input refusals, asked directly: a valuation of rank two,
+    a presentation with a trinomial, a binomial that is not weight
+    homogeneous, a homogeneous binomial that is not prime, and no variable
+    of positive value."""
+    local, nu = scene_from_dict({
+        "field": "Q", "vars": ["x", "y"], "ideal": gens, "localize_at": ["x", "y"],
+        "valuation": {"support": [], "rank": rank, "weights": weights},
+    })
+    with pytest.raises(UnsupportedInstance, match=f"^{message}$"):
         toric_uniformizer(local, nu)
 
 

@@ -473,7 +473,11 @@ def test_axiom_sampling_finds_violations_on_uncertified_supports(support, count,
 
 def _axiom_violations_by_arithmetic(nu, count, seed):
     """axiom_violations as it was before it read the monomial table: f * g
-    and f + g as Polynomials, each read through value_of, compared as Values."""
+    and f + g as Polynomials, each read through value_of, compared as Values.
+
+    It still checks the ultrametric inequality, which axiom_violations no
+    longer samples since the value reading makes it hold: an ultrametric
+    report here would make the two lists differ."""
     rng = random.Random(seed)
     bad = []
     for _ in range(count):
